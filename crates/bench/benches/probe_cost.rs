@@ -3,7 +3,7 @@
 //! the ablation behind DieHard's space/time dial.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use diehard_core::partition::Partition;
+use diehard_core::partition::AtomicPartition;
 use diehard_core::size_class::SizeClass;
 use std::hint::black_box;
 
@@ -19,14 +19,15 @@ fn bench_probe_by_fullness(c: &mut Criterion) {
             BenchmarkId::from_parameter(format!("1/{denom}_full")),
             &denom,
             |b, &denom| {
-                let mut part = Partition::new(SizeClass::from_index(0), CAPACITY, CAPACITY, 7);
+                let mut part =
+                    AtomicPartition::new(SizeClass::from_index(0), CAPACITY, CAPACITY, 7);
                 for _ in 0..CAPACITY / denom {
-                    part.alloc();
+                    part.alloc_mut();
                 }
                 // Steady-state alloc/free pair at this fullness.
                 b.iter(|| {
-                    let idx = part.alloc().expect("has space");
-                    part.free(black_box(idx));
+                    let idx = part.alloc_mut().expect("has space");
+                    part.free_mut(black_box(idx));
                 });
             },
         );
@@ -35,8 +36,7 @@ fn bench_probe_by_fullness(c: &mut Criterion) {
 }
 
 fn bench_adaptive_vs_fixed(c: &mut Criterion) {
-    use diehard_core::adaptive::AdaptiveHeap;
-    use diehard_core::config::HeapConfig;
+    use diehard_core::config::{HeapConfig, DEFAULT_INITIAL_FRACTION_LOG2};
     use diehard_core::engine::HeapCore;
 
     let mut group = c.benchmark_group("adaptive_vs_fixed");
@@ -53,7 +53,9 @@ fn bench_adaptive_vs_fixed(c: &mut Criterion) {
     });
     group.bench_function("adaptive_heap_1000_allocs", |b| {
         b.iter(|| {
-            let mut h = AdaptiveHeap::new(HeapConfig::default(), 1).unwrap();
+            let mut h =
+                HeapCore::new_elastic(HeapConfig::default(), 1, DEFAULT_INITIAL_FRACTION_LOG2)
+                    .unwrap();
             for i in 0..1000usize {
                 black_box(h.alloc(8 + (i % 512)));
             }

@@ -7,7 +7,7 @@
 
 use diehard_bench::{pct, smoke_scaled, TextTable};
 use diehard_core::analysis::p_overflow_mask;
-use diehard_core::partition::Partition;
+use diehard_core::partition::AtomicPartition;
 use diehard_core::rng::{splitmix, Mwc};
 use diehard_core::size_class::SizeClass;
 
@@ -24,7 +24,7 @@ const TRIALS: usize = 20_000;
 /// least one replica it touched no live slot.
 fn trial(fullness: f64, replicas: usize, rng: &mut Mwc) -> bool {
     (0..replicas).any(|_| {
-        let mut part = Partition::new(
+        let mut part = AtomicPartition::new(
             SizeClass::from_index(0),
             CAPACITY,
             CAPACITY,
@@ -32,7 +32,7 @@ fn trial(fullness: f64, replicas: usize, rng: &mut Mwc) -> bool {
         );
         let live_target = (CAPACITY as f64 * fullness) as usize;
         for _ in 0..live_target {
-            part.alloc().expect("below capacity");
+            part.alloc_mut().expect("below capacity");
         }
         let start = rng.below(CAPACITY - OVERFLOW_OBJECTS);
         (start..start + OVERFLOW_OBJECTS).all(|slot| !part.is_live(slot))

@@ -11,7 +11,7 @@
 
 use diehard_bench::{pct, TextTable};
 use diehard_core::analysis::{p_dangling_mask, p_dangling_mask_default_config};
-use diehard_core::partition::Partition;
+use diehard_core::partition::AtomicPartition;
 use diehard_core::rng::{splitmix, Mwc};
 use diehard_core::size_class::SizeClass;
 
@@ -25,15 +25,15 @@ fn trial(class: SizeClass, a: u64, rng: &mut Mwc) -> bool {
     let capacity = SCALED_REGION >> class.shift();
     // Threshold = capacity so the partition accepts allocations past the
     // 1/M cap — the theorem's worst case fills F slots without freeing.
-    let mut part = Partition::new(class, capacity, capacity, splitmix(rng.next_u64()));
+    let mut part = AtomicPartition::new(class, capacity, capacity, splitmix(rng.next_u64()));
     let mut live = Vec::with_capacity(capacity / 2);
     for _ in 0..capacity / 2 {
-        live.push(part.alloc().expect("has room"));
+        live.push(part.alloc_mut().expect("has room"));
     }
     let victim = live[rng.below(live.len())];
-    part.free(victim);
+    part.free_mut(victim);
     for _ in 0..a {
-        if part.alloc() == Some(victim) {
+        if part.alloc_mut() == Some(victim) {
             return false; // overwritten
         }
     }

@@ -10,7 +10,7 @@
 
 use diehard_bench::TextTable;
 use diehard_core::analysis::{expected_min_separation, expected_probes_at_cap};
-use diehard_core::partition::Partition;
+use diehard_core::partition::AtomicPartition;
 use diehard_core::rng::{splitmix, Mwc};
 use diehard_core::size_class::SizeClass;
 
@@ -21,7 +21,7 @@ const STEADY_OPS: usize = 200_000;
 /// the mean free gap between live neighbours.
 fn measure(m: f64, rng: &mut Mwc) -> (f64, f64) {
     let threshold = (CAPACITY as f64 / m) as usize;
-    let mut part = Partition::new(
+    let mut part = AtomicPartition::new(
         SizeClass::from_index(0),
         CAPACITY,
         threshold,
@@ -29,15 +29,15 @@ fn measure(m: f64, rng: &mut Mwc) -> (f64, f64) {
     );
     let mut victim_rng = rng.split();
     let mut live = Vec::with_capacity(threshold);
-    while let Some(idx) = part.alloc() {
+    while let Some(idx) = part.alloc_mut() {
         live.push(idx);
     }
     // Steady state at the cap: free one, allocate one.
     let (a0, p0) = part.probe_stats();
     for _ in 0..diehard_bench::smoke_scaled(STEADY_OPS, 20_000) {
         let victim = live.swap_remove(victim_rng.below(live.len()));
-        part.free(victim);
-        live.push(part.alloc().expect("slot just freed"));
+        part.free_mut(victim);
+        live.push(part.alloc_mut().expect("slot just freed"));
     }
     let (a1, p1) = part.probe_stats();
     let probes = (p1 - p0) as f64 / (a1 - a0) as f64;

@@ -20,7 +20,7 @@
 
 use diehard_core::config::{FillPolicy, HeapConfig};
 use diehard_core::magazine::MagazineHeap;
-use diehard_core::partition::Partition;
+use diehard_core::partition::AtomicPartition;
 use diehard_core::rng::Mwc;
 use diehard_core::sharded::ShardedHeap;
 use diehard_core::size_class::SizeClass;
@@ -270,14 +270,14 @@ fn probe_steady_half_full(smoke: bool) -> KernelResult {
     } else {
         (3, 25, 100_000)
     };
-    let mut part = Partition::new(SizeClass::from_index(0), CAPACITY, CAPACITY, 7);
+    let mut part = AtomicPartition::new(SizeClass::from_index(0), CAPACITY, CAPACITY, 7);
     for _ in 0..CAPACITY / 2 {
-        part.alloc();
+        part.alloc_mut();
     }
     measure("probe_steady_half_full", warmup, samples, ops, move || {
         for _ in 0..ops {
-            let idx = part.alloc().expect("has space");
-            part.free(black_box(idx));
+            let idx = part.alloc_mut().expect("has space");
+            part.free_mut(black_box(idx));
         }
     })
 }

@@ -1,217 +1,22 @@
-//! Allocation bitmaps: one bit per object slot.
+//! Slot-state maps: two bits per object slot.
 //!
 //! The paper (§4.1): "The heap metadata includes a bitmap for each heap
 //! region, where one bit always stands for one object. All bits are initially
 //! zero, indicating that every object is free." Keeping per-object overhead
-//! to one bit (versus dlmalloc's eight-byte boundary tags) is one of the two
-//! features offsetting DieHard's power-of-two rounding cost (§4.5).
+//! to a few bits (versus dlmalloc's eight-byte boundary tags) is one of the
+//! two features offsetting DieHard's power-of-two rounding cost (§4.5).
 //!
-//! The bitmap never allocates after construction, so it is safe to use from
+//! This repository spends two bits per object instead of one: the lock-free
+//! heaps must tell *free*, *live* and *magazine-reserved* apart in a single
+//! atomic word (see [`SlotStateMap`]). The same map serves the single-owner
+//! [`HeapCore`](crate::engine::HeapCore) through its `_mut` methods, which
+//! use plain loads and stores.
+//!
+//! The map never allocates after construction, so it is safe to use from
 //! inside a global allocator once built over caller-provided storage
-//! ([`Bitmap::from_storage`]).
+//! ([`SlotStateMap::from_storage`]).
 
 use core::sync::atomic::{AtomicU64, Ordering};
-
-/// A fixed-capacity bitmap over object slots.
-///
-/// # Examples
-///
-/// ```
-/// use diehard_core::bitmap::Bitmap;
-///
-/// let mut bm = Bitmap::new(128);
-/// assert!(!bm.get(7));
-/// bm.set(7);
-/// assert!(bm.get(7));
-/// assert_eq!(bm.count_ones(), 1);
-/// bm.clear(7);
-/// assert_eq!(bm.count_ones(), 0);
-/// ```
-#[derive(Debug)]
-pub struct Bitmap {
-    words: Storage,
-    bits: usize,
-}
-
-#[derive(Debug)]
-enum Storage {
-    Owned(Vec<u64>),
-    /// Caller-provided word storage (e.g. carved out of an mmap'd metadata
-    /// arena by the global allocator, which must not allocate re-entrantly).
-    Raw {
-        ptr: *mut u64,
-        words: usize,
-    },
-}
-
-// SAFETY: `Raw` storage is exclusively owned by the bitmap for its lifetime;
-// the global allocator guards all access with a lock.
-unsafe impl Send for Bitmap {}
-unsafe impl Sync for Bitmap {}
-
-impl Storage {
-    #[inline]
-    fn as_slice(&self) -> &[u64] {
-        match self {
-            Storage::Owned(v) => v,
-            // SAFETY: `ptr` is valid for `words` u64s per `from_storage`'s
-            // contract and no aliasing mutable access exists while `&self`
-            // is held.
-            Storage::Raw { ptr, words } => unsafe { core::slice::from_raw_parts(*ptr, *words) },
-        }
-    }
-
-    #[inline]
-    fn as_mut_slice(&mut self) -> &mut [u64] {
-        match self {
-            Storage::Owned(v) => v,
-            // SAFETY: as above, with exclusive access guaranteed by `&mut`.
-            Storage::Raw { ptr, words } => unsafe { core::slice::from_raw_parts_mut(*ptr, *words) },
-        }
-    }
-}
-
-impl Bitmap {
-    /// Creates a bitmap with `bits` slots, all free (zero).
-    #[must_use]
-    pub fn new(bits: usize) -> Self {
-        Self {
-            words: Storage::Owned(vec![0u64; bits.div_ceil(64)]),
-            bits,
-        }
-    }
-
-    /// Creates a bitmap over caller-provided zeroed word storage.
-    ///
-    /// Used by the real allocator, whose metadata lives in a dedicated mmap
-    /// region segregated from the heap (§4.1).
-    ///
-    /// # Safety
-    ///
-    /// `ptr` must be valid for reads and writes of `bits.div_ceil(64)` u64
-    /// words for the lifetime of the bitmap, must be exclusively owned by
-    /// it, and must point to zeroed memory.
-    #[must_use]
-    pub unsafe fn from_storage(ptr: *mut u64, bits: usize) -> Self {
-        Self {
-            words: Storage::Raw {
-                ptr,
-                words: bits.div_ceil(64),
-            },
-            bits,
-        }
-    }
-
-    /// Number of slots the bitmap covers.
-    #[must_use]
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.bits
-    }
-
-    /// `true` when the bitmap covers zero slots.
-    #[must_use]
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.bits == 0
-    }
-
-    /// Returns the bit at `index`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index >= len()`.
-    #[must_use]
-    #[inline]
-    pub fn get(&self, index: usize) -> bool {
-        assert!(index < self.bits, "bit index {index} out of range");
-        let w = self.words.as_slice()[index / 64];
-        (w >> (index % 64)) & 1 == 1
-    }
-
-    /// Sets the bit at `index` (marks the slot allocated).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index >= len()`.
-    #[inline]
-    pub fn set(&mut self, index: usize) {
-        assert!(index < self.bits, "bit index {index} out of range");
-        self.words.as_mut_slice()[index / 64] |= 1u64 << (index % 64);
-    }
-
-    /// Clears the bit at `index` (marks the slot free).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index >= len()`.
-    #[inline]
-    pub fn clear(&mut self, index: usize) {
-        assert!(index < self.bits, "bit index {index} out of range");
-        self.words.as_mut_slice()[index / 64] &= !(1u64 << (index % 64));
-    }
-
-    /// Atomically-in-effect test-and-set: returns `true` if the bit was
-    /// previously clear and is now set (the caller won the slot).
-    #[inline]
-    pub fn try_set(&mut self, index: usize) -> bool {
-        if self.get(index) {
-            false
-        } else {
-            self.set(index);
-            true
-        }
-    }
-
-    /// Clears every bit.
-    pub fn clear_all(&mut self) {
-        for w in self.words.as_mut_slice() {
-            *w = 0;
-        }
-    }
-
-    /// Number of set bits (live objects in the region).
-    #[must_use]
-    pub fn count_ones(&self) -> usize {
-        self.words
-            .as_slice()
-            .iter()
-            .map(|w| w.count_ones() as usize)
-            .sum()
-    }
-
-    /// Iterates over the indices of set bits.
-    pub fn iter_ones(&self) -> IterOnes<'_> {
-        IterOnes {
-            words: self.words.as_slice(),
-            word_idx: 0,
-            current: self.words.as_slice().first().copied().unwrap_or(0),
-            bits: self.bits,
-        }
-    }
-}
-
-/// A fixed-capacity bitmap whose bits can be read and written concurrently.
-///
-/// The magazine layer ([`crate::magazine`]) overlays one of these on each
-/// partition's allocation bitmap to mark slots that are *reserved* by a
-/// thread-local magazine but not yet handed to the application. The overlay
-/// must be atomic because the reserved→live transition (a magazine handout)
-/// happens on the owning thread **without** taking the shard lock — that is
-/// the entire point of the magazine — while other threads read the bit under
-/// the shard lock to decide whether a slot is live.
-///
-/// Memory ordering: [`clear`](Self::clear) (the handout) releases, and
-/// [`get`](Self::get) acquires, so a thread that legitimately learned of an
-/// object (the pointer was passed to it, which synchronizes) observes the
-/// slot as live. Threads issuing *erroneous* frees may observe a stale
-/// reserved bit and have the free ignored — exactly DieHard's contract for
-/// invalid frees.
-#[derive(Debug)]
-pub struct AtomicBitmap {
-    words: AtomicStorage,
-    bits: usize,
-}
 
 #[derive(Debug)]
 enum AtomicStorage {
@@ -219,118 +24,9 @@ enum AtomicStorage {
     /// Caller-provided word storage (carved out of the global allocator's
     /// mmap'd metadata arena, which must never allocate re-entrantly).
     Raw {
-        ptr: *const AtomicU64,
+        ptr: *mut AtomicU64,
         words: usize,
     },
-}
-
-// SAFETY: `Raw` storage is exclusively owned by this bitmap for its
-// lifetime, and every access goes through atomic operations.
-unsafe impl Send for AtomicBitmap {}
-unsafe impl Sync for AtomicBitmap {}
-
-impl AtomicBitmap {
-    /// Creates an atomic bitmap with `bits` slots, all clear.
-    #[must_use]
-    pub fn new(bits: usize) -> Self {
-        Self {
-            words: AtomicStorage::Owned(
-                (0..bits.div_ceil(64)).map(|_| AtomicU64::new(0)).collect(),
-            ),
-            bits,
-        }
-    }
-
-    /// Creates an atomic bitmap over caller-provided zeroed word storage.
-    ///
-    /// # Safety
-    ///
-    /// `ptr` must be valid for reads and writes of `bits.div_ceil(64)` u64
-    /// words for the lifetime of the bitmap, exclusively owned by it, zeroed,
-    /// and aligned for `u64` (which matches `AtomicU64`'s layout).
-    #[must_use]
-    pub unsafe fn from_storage(ptr: *mut u64, bits: usize) -> Self {
-        Self {
-            words: AtomicStorage::Raw {
-                ptr: ptr.cast::<AtomicU64>(),
-                words: bits.div_ceil(64),
-            },
-            bits,
-        }
-    }
-
-    #[inline]
-    fn words(&self) -> &[AtomicU64] {
-        match &self.words {
-            AtomicStorage::Owned(v) => v,
-            // SAFETY: `ptr` is valid for `words` AtomicU64s per the
-            // `from_storage` contract (AtomicU64 is layout-identical to u64).
-            AtomicStorage::Raw { ptr, words } => unsafe {
-                core::slice::from_raw_parts(*ptr, *words)
-            },
-        }
-    }
-
-    /// Number of slots the bitmap covers.
-    #[must_use]
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.bits
-    }
-
-    /// `true` when the bitmap covers zero slots.
-    #[must_use]
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.bits == 0
-    }
-
-    /// Reads the bit at `index` (acquire).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index >= len()`.
-    #[must_use]
-    #[inline]
-    pub fn get(&self, index: usize) -> bool {
-        assert!(index < self.bits, "bit index {index} out of range");
-        let w = self.words()[index / 64].load(Ordering::Acquire);
-        (w >> (index % 64)) & 1 == 1
-    }
-
-    /// Sets the bit at `index` (release).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index >= len()`.
-    #[inline]
-    pub fn set(&self, index: usize) {
-        assert!(index < self.bits, "bit index {index} out of range");
-        self.words()[index / 64].fetch_or(1u64 << (index % 64), Ordering::Release);
-    }
-
-    /// Clears the bit at `index` (release) — the lock-free reserved→live
-    /// handout transition.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index >= len()`.
-    #[inline]
-    pub fn clear(&self, index: usize) {
-        assert!(index < self.bits, "bit index {index} out of range");
-        self.words()[index / 64].fetch_and(!(1u64 << (index % 64)), Ordering::Release);
-    }
-
-    /// Number of set bits. Each word is read atomically but the sum is not a
-    /// snapshot — exact only when no thread is mutating the bitmap (the same
-    /// quiescence caveat as the sharded heap's aggregate counters).
-    #[must_use]
-    pub fn count_ones(&self) -> usize {
-        self.words()
-            .iter()
-            .map(|w| w.load(Ordering::Relaxed).count_ones() as usize)
-            .sum()
-    }
 }
 
 /// Per-slot states a [`SlotStateMap`] distinguishes.
@@ -375,20 +71,39 @@ pub enum SlotState {
 /// bit into `01` or `11` is a no-op, so a lost claim cannot corrupt another
 /// slot's state, and the returned prior word decides the winner. One probe
 /// draw therefore maps to exactly one claim attempt — probe accounting under
-/// contention stays identical to the locked path's (§4.2 E[probes]).
+/// contention counts draws exactly as the single-owner path does (§4.2
+/// E\[probes\]).
 ///
 /// Memory ordering: claims and commits publish with release semantics (and
 /// acquire the prior owner's writes), frees release the object's contents to
-/// the next claimant, and reads acquire — the same discipline the old
-/// `AtomicBitmap` overlay used, now on one word.
+/// the next claimant, and reads acquire.
+///
+/// A single owner (`&mut self`) skips the atomics altogether:
+/// [`claim_live_mut`](Self::claim_live_mut) and [`free_mut`](Self::free_mut)
+/// make the same transitions with plain loads and stores through
+/// `AtomicU64::get_mut`.
+///
+/// # Examples
+///
+/// ```
+/// use diehard_core::bitmap::{SlotState, SlotStateMap};
+///
+/// let mut map = SlotStateMap::new(128);
+/// assert!(map.claim_live(7)); // shared path: one `fetch_or`
+/// assert!(!map.claim_live_mut(7)); // plain path: already live
+/// assert_eq!(map.live_count(), 1);
+/// assert_eq!(map.free_mut(7), SlotState::Live);
+/// assert_eq!(map.free(7), SlotState::Free); // double free: ignored
+/// ```
 #[derive(Debug)]
 pub struct SlotStateMap {
     words: AtomicStorage,
     slots: usize,
 }
 
-// SAFETY: `Raw` storage is exclusively owned by this map for its lifetime,
-// and every access goes through atomic operations.
+// SAFETY: `Raw` storage is exclusively owned by this map for its lifetime;
+// shared access goes through atomic operations, and plain access needs
+// `&mut self`.
 unsafe impl Send for SlotStateMap {}
 unsafe impl Sync for SlotStateMap {}
 
@@ -444,6 +159,17 @@ impl SlotStateMap {
             // `from_storage` contract (AtomicU64 is layout-identical to u64).
             AtomicStorage::Raw { ptr, words } => unsafe {
                 core::slice::from_raw_parts(*ptr, *words)
+            },
+        }
+    }
+
+    #[inline]
+    fn words_mut(&mut self) -> &mut [AtomicU64] {
+        match &mut self.words {
+            AtomicStorage::Owned(v) => v,
+            // SAFETY: as in `words`; `&mut self` makes the access exclusive.
+            AtomicStorage::Raw { ptr, words } => unsafe {
+                core::slice::from_raw_parts_mut(*ptr, *words)
             },
         }
     }
@@ -515,6 +241,21 @@ impl SlotStateMap {
         (prior >> shift) & 0b11 == 0b00
     }
 
+    /// [`claim_live`](Self::claim_live) for a single owner: the same
+    /// `00 → 01` transition and result, as a plain load and store.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index >= len()`.
+    #[inline]
+    pub fn claim_live_mut(&mut self, index: usize) -> bool {
+        let (word, shift) = self.check(index);
+        let w = self.words_mut()[word].get_mut();
+        let prior = *w;
+        *w = prior | (1u64 << shift);
+        (prior >> shift) & 0b11 == 0b00
+    }
+
     /// The magazine refill's reservation: `00 → 11` via CAS. Returns `true`
     /// when the reservation was taken (the slot was free).
     ///
@@ -575,6 +316,26 @@ impl SlotStateMap {
                 Ok(_) => return SlotState::Live,
                 Err(seen) => cur = seen,
             }
+        }
+    }
+
+    /// [`free`](Self::free) for a single owner: the same `01 → 00`
+    /// transition and result, as a plain load and store.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index >= len()`.
+    #[inline]
+    pub fn free_mut(&mut self, index: usize) -> SlotState {
+        let (word, shift) = self.check(index);
+        let w = self.words_mut()[word].get_mut();
+        match (*w >> shift) & 0b11 {
+            0b00 => SlotState::Free,
+            0b01 => {
+                *w &= !(0b11u64 << shift);
+                SlotState::Live
+            }
+            _ => SlotState::Reserved,
         }
     }
 
@@ -688,38 +449,6 @@ impl Iterator for IterOccupied<'_> {
     }
 }
 
-/// Iterator over set-bit indices, produced by [`Bitmap::iter_ones`].
-#[derive(Debug)]
-pub struct IterOnes<'a> {
-    words: &'a [u64],
-    word_idx: usize,
-    current: u64,
-    bits: usize,
-}
-
-impl Iterator for IterOnes<'_> {
-    type Item = usize;
-
-    fn next(&mut self) -> Option<usize> {
-        loop {
-            if self.current != 0 {
-                let tz = self.current.trailing_zeros() as usize;
-                self.current &= self.current - 1;
-                let idx = self.word_idx * 64 + tz;
-                if idx < self.bits {
-                    return Some(idx);
-                }
-                return None;
-            }
-            self.word_idx += 1;
-            if self.word_idx >= self.words.len() {
-                return None;
-            }
-            self.current = self.words[self.word_idx];
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -728,141 +457,121 @@ mod tests {
 
     #[test]
     fn new_is_all_clear() {
-        let bm = Bitmap::new(100);
-        assert_eq!(bm.len(), 100);
-        assert!(!bm.is_empty());
-        assert_eq!(bm.count_ones(), 0);
+        let map = SlotStateMap::new(100);
+        assert_eq!(map.len(), 100);
+        assert!(!map.is_empty());
+        assert_eq!(map.occupied_count(), 0);
         for i in 0..100 {
-            assert!(!bm.get(i));
+            assert_eq!(map.state(i), SlotState::Free);
         }
     }
 
     #[test]
     fn empty_bitmap() {
-        let bm = Bitmap::new(0);
-        assert!(bm.is_empty());
-        assert_eq!(bm.iter_ones().count(), 0);
+        let map = SlotStateMap::new(0);
+        assert!(map.is_empty());
+        assert_eq!(map.iter_occupied().count(), 0);
     }
 
     #[test]
     fn set_get_clear_roundtrip() {
-        let mut bm = Bitmap::new(130);
-        for i in [0usize, 1, 63, 64, 65, 127, 128, 129] {
-            bm.set(i);
-            assert!(bm.get(i), "bit {i}");
-            bm.clear(i);
-            assert!(!bm.get(i), "bit {i}");
+        // Word-boundary slots, through both the shared and the plain path.
+        let mut map = SlotStateMap::new(130);
+        for i in [0usize, 1, 31, 32, 33, 63, 64, 65, 127, 128, 129] {
+            assert!(map.claim_live(i), "slot {i}");
+            assert!(map.is_live(i), "slot {i}");
+            assert_eq!(map.free_mut(i), SlotState::Live, "slot {i}");
+            assert_eq!(map.state(i), SlotState::Free, "slot {i}");
+            assert!(map.claim_live_mut(i), "slot {i}");
+            assert!(map.is_live(i), "slot {i}");
+            assert_eq!(map.free(i), SlotState::Live, "slot {i}");
+            assert_eq!(map.state(i), SlotState::Free, "slot {i}");
         }
+        assert_eq!(map.occupied_count(), 0);
     }
 
     #[test]
     fn try_set_semantics() {
-        let mut bm = Bitmap::new(8);
-        assert!(bm.try_set(3));
-        assert!(!bm.try_set(3));
-        assert!(bm.get(3));
+        let mut map = SlotStateMap::new(8);
+        assert!(map.claim_live_mut(3));
+        assert!(!map.claim_live_mut(3), "a live slot cannot be claimed");
+        assert_eq!(map.state(3), SlotState::Live);
+        assert!(map.reserve(4));
+        assert!(!map.claim_live_mut(4), "a reserved slot cannot be claimed");
+        assert_eq!(
+            map.state(4),
+            SlotState::Reserved,
+            "a lost claim is harmless"
+        );
+        assert_eq!(map.free_mut(4), SlotState::Reserved, "nor freed");
+        assert_eq!(
+            map.free_mut(5),
+            SlotState::Free,
+            "never-claimed free ignored"
+        );
     }
 
     #[test]
     fn clear_all_resets() {
-        let mut bm = Bitmap::new(200);
+        // Returning every occupied slot, live or reserved, leaves the map
+        // as new.
+        let mut map = SlotStateMap::new(200);
         for i in (0..200).step_by(3) {
-            bm.set(i);
+            assert!(map.claim_live_mut(i));
         }
-        bm.clear_all();
-        assert_eq!(bm.count_ones(), 0);
+        for i in (1..200).step_by(3) {
+            assert!(map.reserve(i));
+        }
+        for i in 0..200 {
+            match map.state(i) {
+                SlotState::Live => assert_eq!(map.free_mut(i), SlotState::Live),
+                SlotState::Reserved => assert!(map.release_reservation(i)),
+                SlotState::Free => {}
+            }
+        }
+        assert_eq!(map.occupied_count(), 0);
+        assert!((0..200).all(|i| map.state(i) == SlotState::Free));
     }
 
     #[test]
     fn iter_ones_yields_sorted_indices() {
-        let mut bm = Bitmap::new(300);
-        let expected = [0usize, 5, 63, 64, 128, 255, 299];
-        for &i in &expected {
-            bm.set(i);
+        let mut map = SlotStateMap::new(300);
+        let expected = [0usize, 5, 31, 32, 63, 64, 128, 255, 299];
+        for (n, &i) in expected.iter().enumerate() {
+            if n % 2 == 0 {
+                assert!(map.claim_live_mut(i));
+            } else {
+                assert!(map.reserve(i));
+            }
         }
-        let got: Vec<usize> = bm.iter_ones().collect();
+        let got: Vec<usize> = map.iter_occupied().collect();
         assert_eq!(got, expected);
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn get_out_of_range_panics() {
-        let _ = Bitmap::new(10).get(10);
+        let _ = SlotStateMap::new(10).state(10);
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn set_out_of_range_panics() {
-        Bitmap::new(64).set(64);
+        SlotStateMap::new(64).claim_live_mut(64);
     }
 
     #[test]
     fn from_storage_works() {
-        let mut backing = vec![0u64; 4];
-        // SAFETY: `backing` outlives `bm`, is zeroed, and is not otherwise
-        // accessed while `bm` lives.
-        let mut bm = unsafe { Bitmap::from_storage(backing.as_mut_ptr(), 200) };
-        bm.set(150);
-        assert!(bm.get(150));
-        assert_eq!(bm.count_ones(), 1);
-        drop(bm);
-        assert_ne!(backing[2], 0, "bit 150 lives in word 2");
-    }
-
-    #[test]
-    fn atomic_bitmap_set_get_clear() {
-        let bm = AtomicBitmap::new(130);
-        assert_eq!(bm.len(), 130);
-        assert!(!bm.is_empty());
-        for i in [0usize, 63, 64, 65, 129] {
-            assert!(!bm.get(i));
-            bm.set(i);
-            assert!(bm.get(i), "bit {i}");
-        }
-        assert_eq!(bm.count_ones(), 5);
-        bm.clear(64);
-        assert!(!bm.get(64));
-        assert_eq!(bm.count_ones(), 4);
-    }
-
-    #[test]
-    fn atomic_bitmap_over_raw_storage() {
-        let mut backing = vec![0u64; 4];
-        // SAFETY: `backing` outlives `bm`, is zeroed, and is not otherwise
-        // accessed while `bm` lives.
-        let bm = unsafe { AtomicBitmap::from_storage(backing.as_mut_ptr(), 200) };
-        bm.set(150);
-        assert!(bm.get(150));
-        assert_eq!(bm.count_ones(), 1);
-        drop(bm);
-        assert_ne!(backing[2], 0, "bit 150 lives in word 2");
-    }
-
-    #[test]
-    fn atomic_bitmap_concurrent_disjoint_bits() {
-        let bm = std::sync::Arc::new(AtomicBitmap::new(512));
-        let mut handles = Vec::new();
-        for t in 0..8usize {
-            let bm = std::sync::Arc::clone(&bm);
-            handles.push(std::thread::spawn(move || {
-                for i in (t..512).step_by(8) {
-                    bm.set(i);
-                }
-                for i in (t..512).step_by(16) {
-                    bm.clear(i);
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(bm.count_ones(), 256);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn atomic_bitmap_out_of_range_panics() {
-        AtomicBitmap::new(10).set(10);
+        // The plain path writes through caller-provided storage too.
+        let mut backing = vec![0u64; SlotStateMap::words_needed(200)];
+        // SAFETY: `backing` outlives `map`, is zeroed, and is not otherwise
+        // accessed while `map` lives.
+        let mut map = unsafe { SlotStateMap::from_storage(backing.as_mut_ptr(), 200) };
+        assert!(map.claim_live_mut(150));
+        assert!(map.is_live(150));
+        assert_eq!(map.occupied_count(), 1);
+        drop(map);
+        assert_ne!(backing[4], 0, "slot 150's pair lives in word 4");
     }
 
     #[test]
@@ -1035,34 +744,35 @@ mod tests {
     }
 
     proptest! {
-        /// The bitmap behaves exactly like a set of indices.
+        /// The map's occupied slots behave exactly like a set of indices,
+        /// whichever path (shared or plain) makes each transition.
         #[test]
-        fn model_equivalence(ops in proptest::collection::vec((0usize..512, any::<bool>()), 1..300)) {
-            let mut bm = Bitmap::new(512);
+        fn model_equivalence(ops in proptest::collection::vec((0usize..512, 0u8..4), 1..300)) {
+            let mut map = SlotStateMap::new(512);
             let mut model: HashSet<usize> = HashSet::new();
-            for (idx, set) in ops {
-                if set {
-                    bm.set(idx);
-                    model.insert(idx);
-                } else {
-                    bm.clear(idx);
-                    model.remove(&idx);
+            for (idx, op) in ops {
+                match op {
+                    0 => prop_assert_eq!(map.claim_live(idx), model.insert(idx)),
+                    1 => prop_assert_eq!(map.claim_live_mut(idx), model.insert(idx)),
+                    2 => prop_assert_eq!(map.free(idx) == SlotState::Live, model.remove(&idx)),
+                    _ => prop_assert_eq!(map.free_mut(idx) == SlotState::Live, model.remove(&idx)),
                 }
             }
-            prop_assert_eq!(bm.count_ones(), model.len());
-            let got: HashSet<usize> = bm.iter_ones().collect();
+            prop_assert_eq!(map.occupied_count(), model.len());
+            let got: HashSet<usize> = map.iter_occupied().collect();
             prop_assert_eq!(got, model);
         }
 
         #[test]
         fn count_matches_individual_gets(idxs in proptest::collection::hash_set(0usize..256, 0..64)) {
-            let mut bm = Bitmap::new(256);
+            let mut map = SlotStateMap::new(256);
             for &i in &idxs {
-                bm.set(i);
+                prop_assert!(map.claim_live_mut(i));
             }
-            let by_get = (0..256).filter(|&i| bm.get(i)).count();
+            let by_get = (0..256).filter(|&i| map.is_live(i)).count();
             prop_assert_eq!(by_get, idxs.len());
-            prop_assert_eq!(bm.count_ones(), idxs.len());
+            prop_assert_eq!(map.live_count(), idxs.len());
+            prop_assert_eq!(map.occupied_count(), idxs.len());
         }
     }
 }

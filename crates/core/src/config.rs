@@ -7,6 +7,11 @@
 
 use crate::size_class::{SizeClass, MAX_OBJECT_SIZE, NUM_CLASSES};
 
+/// `log2` of the default start fraction of an elastic heap: each class
+/// begins at `1/64` of its maximum capacity
+/// ([`HeapGeometry::new_elastic`]).
+pub const DEFAULT_INITIAL_FRACTION_LOG2: u32 = 6;
+
 /// Whether newly served memory is filled with random values.
 ///
 /// The replicated version of DieHard fills the heap and every allocated
@@ -117,8 +122,7 @@ impl HeapConfig {
     }
 
     /// `⌊capacity / M⌋` in exact integer arithmetic, for an arbitrary slot
-    /// count (the adaptive heap's growing partitions use non-class
-    /// capacities).
+    /// count (elastic heaps' growing partitions use non-class capacities).
     ///
     /// The obvious `(capacity as f64 / M) as usize` drifts: above 2⁵³ the
     /// capacity itself is not representable, and even below that the rounded
@@ -207,7 +211,7 @@ impl Default for HeapConfig {
 /// Precomputed shift/mask geometry for a validated [`HeapConfig`].
 ///
 /// The paper's §4.1 chooses power-of-two size classes so that "expensive
-/// division and modulus operations [are] replaced with bit-shifting" — this
+/// division and modulus operations \[are\] replaced with bit-shifting" — this
 /// type is where that promise is kept. Built once at heap construction, it
 /// turns every per-operation conversion into shifts and masks:
 ///
@@ -380,6 +384,22 @@ impl HeapGeometry {
     #[inline]
     pub fn initial_threshold(&self, class: SizeClass) -> usize {
         self.initial_threshold[class.index()]
+    }
+
+    /// The doubling rule of elastic heaps (§9): a class with `capacity`
+    /// active slots grows to `min(2 · capacity, max)` with the exact `1/M`
+    /// threshold for the new size (at least 1). Returns the new
+    /// `(capacity, threshold)`, or `None` once the class is at its maximum
+    /// capacity — always, on a fixed geometry.
+    #[must_use]
+    #[inline]
+    pub fn grow_step(&self, class: SizeClass, capacity: usize) -> Option<(usize, usize)> {
+        let max = self.capacity(class);
+        if capacity >= max {
+            return None;
+        }
+        let new_capacity = (capacity * 2).min(max);
+        Some((new_capacity, self.config.threshold_for(new_capacity).max(1)))
     }
 
     /// Random-fill policy for detecting uninitialized reads.
@@ -623,6 +643,21 @@ mod tests {
         for c in SizeClass::all() {
             assert_eq!(fixed.initial_capacity(c), fixed.capacity(c));
             assert_eq!(fixed.initial_threshold(c), fixed.threshold(c));
+        }
+        // Doubling: min(2 · capacity, max), threshold for the new size, and
+        // nothing past the maximum.
+        let elastic = HeapGeometry::new_elastic(HeapConfig::new(), 6).unwrap();
+        let c11 = SizeClass::from_index(11); // 16 KB: max 64 slots, start 2
+        let mut cap = elastic.initial_capacity(c11);
+        let mut steps = Vec::new();
+        while let Some((next, threshold)) = elastic.grow_step(c11, cap) {
+            steps.push((next, threshold));
+            cap = next;
+        }
+        assert_eq!(steps, [(4, 2), (8, 4), (16, 8), (32, 16), (64, 32)]);
+        assert_eq!(elastic.grow_step(c11, 48), Some((64, 32)), "clamped at max");
+        for c in SizeClass::all() {
+            assert_eq!(fixed.grow_step(c, fixed.capacity(c)), None);
         }
         // Non-dyadic multiplier: the start is still a power of two (the
         // point of the elastic geometry — the shift draw never degrades).

@@ -7,8 +7,9 @@
 //! the real allocator maps them into an `mmap`ed region. Both therefore
 //! share one implementation of the paper's placement and validation logic.
 
+use crate::bitmap::SlotState;
 use crate::config::{ConfigError, FillPolicy, HeapConfig, HeapGeometry};
-use crate::partition::{AtomicPartition, Partition};
+use crate::partition::AtomicPartition;
 use crate::rng::{stream_seed, Mwc};
 use crate::size_class::{SizeClass, NUM_CLASSES};
 use core::sync::atomic::{AtomicU64, Ordering};
@@ -189,10 +190,10 @@ impl AtomicHeapStats {
 // The byte-offset ↔ (class, slot) conversions and the §4.3 free-validation
 // checks are pure functions of the precomputed [`HeapGeometry`]. They are
 // factored out of `HeapCore` so the single-threaded facade and the sharded
-// concurrent heap run the *same* logic — a shard lock is only needed for
-// the bitmap bit itself, never for the arithmetic. Per the paper's §4.1,
-// the arithmetic is shifts and masks only: no division, modulus, or
-// multiplication survives on these paths.
+// concurrent heap run the *same* logic; only the slot state itself is
+// shared mutable data. Per the paper's §4.1, the arithmetic is shifts and
+// masks only: no division, modulus, or multiplication survives on these
+// paths.
 
 /// Byte offset of `slot` within a heap span laid out per `geometry`.
 #[must_use]
@@ -223,60 +224,10 @@ pub fn slot_at(geometry: &HeapGeometry, offset: usize) -> Option<Slot> {
 }
 
 /// Builds the twelve partition shards for `geometry`, each with its private
-/// RNG stream split from `seed` — the one definition of the partition
-/// layout, shared by [`HeapCore`] and
+/// RNG stream `stream_seed(seed, class)` — the one definition of the
+/// partition layout, shared by [`HeapCore`] and
 /// [`ShardedHeap`](crate::sharded::ShardedHeap) so the two always produce
-/// identical placements for the same master seed.
-#[must_use]
-pub(crate) fn build_partitions(geometry: &HeapGeometry, seed: u64) -> [Partition; NUM_CLASSES] {
-    core::array::from_fn(|i| {
-        let c = SizeClass::from_index(i);
-        Partition::new(
-            c,
-            geometry.capacity(c),
-            geometry.threshold(c),
-            stream_seed(seed, i as u64),
-        )
-    })
-}
-
-/// As [`build_partitions`], but carving the allocation bitmaps out of
-/// caller-provided storage (the global allocator's metadata arena).
-///
-/// # Safety
-///
-/// `bitmap_words` must point to at least
-/// [`HeapCore::bitmap_words_needed`]`(config)` zeroed `u64`s, valid and
-/// exclusively owned for the partitions' lifetime.
-pub(crate) unsafe fn build_partitions_from_storage(
-    geometry: &HeapGeometry,
-    seed: u64,
-    bitmap_words: *mut u64,
-) -> [Partition; NUM_CLASSES] {
-    let mut cursor = bitmap_words;
-    core::array::from_fn(|i| {
-        let c = SizeClass::from_index(i);
-        let cap = geometry.capacity(c);
-        // SAFETY: the caller provides enough zeroed words for the sum of
-        // all class bitmaps; we carve them off sequentially.
-        let p = unsafe {
-            Partition::from_storage(
-                c,
-                cap,
-                geometry.threshold(c),
-                stream_seed(seed, i as u64),
-                cursor,
-            )
-        };
-        cursor = unsafe { cursor.add(cap.div_ceil(64)) };
-        p
-    })
-}
-
-/// As [`build_partitions`] but producing lock-free [`AtomicPartition`]
-/// shards. Each class's [`crate::rng::AtomicMwc`] is seeded from the same
-/// `stream_seed(seed, class)` as the locked builders, so serialized
-/// histories replay the locked layout bit for bit. Shards start at the
+/// identical placements for the same master seed. Shards start at the
 /// geometry's *initial* capacity (== the maximum for fixed geometries) with
 /// their slot maps sized for the maximum, so elastic growth never relayouts.
 #[must_use]
@@ -332,9 +283,9 @@ pub(crate) unsafe fn build_atomic_partitions_from_storage(
 }
 
 /// The span/alignment half of `DieHardFree`'s validation (§4.3): `Ok` names
-/// the slot whose shard must be locked to complete the free; `Err` carries
-/// the outcome that needs no shard at all (outside the heap, or an interior
-/// pointer that is not a multiple of the object size).
+/// the slot whose partition completes the free; `Err` carries the outcome
+/// that needs no partition at all (outside the heap, or an interior pointer
+/// that is not a multiple of the object size).
 ///
 /// # Errors
 ///
@@ -359,6 +310,21 @@ pub fn locate_free(geometry: &HeapGeometry, offset: usize) -> Result<Slot, FreeO
 
 /// The randomized small-object heap core.
 ///
+/// A single-owner (`&mut self`) heap over the same [`AtomicPartition`]s the
+/// concurrent heaps use, driven through their plain-load/store
+/// [`alloc_mut`](AtomicPartition::alloc_mut) and
+/// [`free_mut`](AtomicPartition::free_mut) entry points, so placements are
+/// bit-identical to [`ShardedHeap`](crate::sharded::ShardedHeap) for the same
+/// seed at no atomic read-modify-write cost.
+///
+/// A heap is *fixed* ([`new`](Self::new)) or *elastic*
+/// ([`new_elastic`](Self::new_elastic), the adaptive variant the paper
+/// sketches as future work, §9): each class then starts at a fraction of
+/// its maximum capacity and doubles whenever it hits its `1/M` cap. Object
+/// offsets are stable across growth, because regions are laid out at their
+/// maximum size and only the probing range changes; protection is
+/// proportional to the *current* region size.
+///
 /// # Examples
 ///
 /// ```
@@ -377,70 +343,76 @@ pub struct HeapCore {
     /// Auxiliary stream for wrappers (random fills in replicated mode);
     /// placement randomness lives inside each partition shard.
     rng: Mwc,
-    partitions: [Partition; NUM_CLASSES],
+    partitions: [AtomicPartition; NUM_CLASSES],
     /// Plain counters: the facade's mutating API is exclusively `&mut
     /// self`, so the single-threaded hot paths pay no atomic RMW cost
     /// (the sharded heap uses [`AtomicHeapStats`] instead).
     stats: HeapStats,
+    /// Completed per-class doublings (elastic heaps; always 0 when fixed).
+    growths: u64,
 }
 
 impl HeapCore {
-    /// Creates an empty heap with the given configuration and RNG seed.
+    /// Creates an empty fixed-size heap with the given configuration and
+    /// RNG seed.
     ///
     /// # Errors
     ///
     /// Returns [`ConfigError`] when the configuration is invalid.
     pub fn new(config: HeapConfig, seed: u64) -> Result<Self, ConfigError> {
-        let geometry = HeapGeometry::new(config)?;
-        let partitions = build_partitions(&geometry, seed);
-        Ok(Self {
-            geometry,
-            rng: Mwc::seeded(seed),
-            partitions,
-            stats: HeapStats::default(),
-        })
+        Ok(Self::from_geometry(HeapGeometry::new(config)?, seed))
     }
 
-    /// As [`new`](Self::new), but hosting all twelve allocation bitmaps in
-    /// caller-provided storage so that construction performs **no heap
-    /// allocation** — required when DieHard itself is the process's global
-    /// allocator (metadata lives in a segregated mmap arena, §4.1).
+    /// Creates an *elastic* heap: each class starts at
+    /// `1 / 2^initial_fraction_log2` of its maximum capacity
+    /// ([`DEFAULT_INITIAL_FRACTION_LOG2`](crate::config::DEFAULT_INITIAL_FRACTION_LOG2)
+    /// is the usual choice) and doubles under `1/M`-cap pressure up to the
+    /// maximum. Single-threaded histories are bit-identical to
+    /// [`ShardedHeap::new_elastic`](crate::sharded::ShardedHeap::new_elastic)
+    /// at the same seed and fraction.
     ///
-    /// # Safety
+    /// # Examples
     ///
-    /// `bitmap_words` must point to at least
-    /// [`bitmap_words_needed`](Self::bitmap_words_needed)`(&config)` zeroed
-    /// `u64`s, valid and exclusively owned for the heap's lifetime.
+    /// ```
+    /// use diehard_core::config::{HeapConfig, DEFAULT_INITIAL_FRACTION_LOG2};
+    /// use diehard_core::engine::HeapCore;
+    ///
+    /// let mut heap = HeapCore::new_elastic(HeapConfig::default(), 7, DEFAULT_INITIAL_FRACTION_LOG2)?;
+    /// let start = heap.committed_bytes();
+    /// for _ in 0..5000 {
+    ///     heap.alloc(8).expect("grows instead of failing");
+    /// }
+    /// assert!(heap.growth_events() > 0, "region grew under pressure");
+    /// assert!(heap.committed_bytes() > start);
+    /// # Ok::<(), diehard_core::config::ConfigError>(())
+    /// ```
     ///
     /// # Errors
     ///
     /// Returns [`ConfigError`] when the configuration is invalid.
-    pub unsafe fn from_raw_parts(
+    pub fn new_elastic(
         config: HeapConfig,
         seed: u64,
-        bitmap_words: *mut u64,
+        initial_fraction_log2: u32,
     ) -> Result<Self, ConfigError> {
-        let geometry = HeapGeometry::new(config)?;
-        // SAFETY: forwarded caller contract.
-        let partitions = unsafe { build_partitions_from_storage(&geometry, seed, bitmap_words) };
-        Ok(Self {
+        Ok(Self::from_geometry(
+            HeapGeometry::new_elastic(config, initial_fraction_log2)?,
+            seed,
+        ))
+    }
+
+    fn from_geometry(geometry: HeapGeometry, seed: u64) -> Self {
+        let partitions = build_atomic_partitions(&geometry, seed);
+        Self {
             geometry,
             rng: Mwc::seeded(seed),
             partitions,
             stats: HeapStats::default(),
-        })
+            growths: 0,
+        }
     }
 
-    /// Number of `u64` words of bitmap storage [`from_raw_parts`]
-    /// (Self::from_raw_parts) requires for `config`.
-    #[must_use]
-    pub fn bitmap_words_needed(config: &HeapConfig) -> usize {
-        SizeClass::all()
-            .map(|c| config.capacity(c).div_ceil(64))
-            .sum()
-    }
-
-    /// The heap's configuration.
+    /// The heap's configuration (region sizes are *maximums* when elastic).
     #[must_use]
     pub fn config(&self) -> &HeapConfig {
         self.geometry.config()
@@ -473,26 +445,52 @@ impl HeapCore {
 
     /// The partition serving `class`.
     #[must_use]
-    pub fn partition(&self, class: SizeClass) -> &Partition {
+    pub fn partition(&self, class: SizeClass) -> &AtomicPartition {
         &self.partitions[class.index()]
     }
 
     /// Allocates `size` bytes, returning the chosen slot, or `None` when the
     /// request is zero, larger than 16 KB (large-object path), or the class
-    /// region is at its `1/M` cap (the paper returns `NULL`).
+    /// region is at its `1/M` cap (the paper returns `NULL`). An elastic
+    /// heap first doubles the class, and only fails at its maximum.
     #[inline]
     pub fn alloc(&mut self, size: usize) -> Option<Slot> {
         let class = SizeClass::for_size(size)?;
-        match self.partitions[class.index()].alloc() {
-            Some(index) => {
+        let partition = &mut self.partitions[class.index()];
+        loop {
+            if let Some(index) = partition.alloc_mut() {
                 self.stats.allocs += 1;
-                Some(Slot { class, index })
+                return Some(Slot { class, index });
             }
-            None => {
-                self.stats.exhausted += 1;
-                None
+            // Growth consumes no draws, so histories match the sharded heap.
+            match self.geometry.grow_step(class, partition.capacity()) {
+                Some((capacity, threshold)) => {
+                    partition.grow_to(capacity, threshold);
+                    self.growths += 1;
+                }
+                None => {
+                    self.stats.exhausted += 1;
+                    return None;
+                }
             }
         }
+    }
+
+    /// Number of per-class doublings so far (always 0 on a fixed heap).
+    #[must_use]
+    pub fn growth_events(&self) -> u64 {
+        self.growths
+    }
+
+    /// Bytes of object slots the regions currently serve: the full heap
+    /// span when fixed, the grown prefix of each region when elastic — the
+    /// adaptive variant's memory footprint.
+    #[must_use]
+    pub fn committed_bytes(&self) -> usize {
+        self.partitions
+            .iter()
+            .map(|p| p.capacity() * p.class().object_size())
+            .sum()
     }
 
     /// Byte offset of `slot` within the heap span.
@@ -528,7 +526,7 @@ impl HeapCore {
                 return outcome;
             }
         };
-        if self.partitions[slot.class.index()].free(slot.index) {
+        if self.partitions[slot.class.index()].free_mut(slot.index) == SlotState::Live {
             self.stats.frees += 1;
             FreeOutcome::Freed(slot)
         } else {
@@ -558,7 +556,7 @@ impl HeapCore {
     /// Total live objects across all regions.
     #[must_use]
     pub fn live_objects(&self) -> usize {
-        self.partitions.iter().map(Partition::in_use).sum()
+        self.partitions.iter().map(AtomicPartition::in_use).sum()
     }
 
     /// Iterates over every live slot in the heap, smallest class first.
@@ -582,6 +580,7 @@ pub const CLASS_COUNT: usize = NUM_CLASSES;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::DEFAULT_INITIAL_FRACTION_LOG2;
     use proptest::prelude::*;
     use std::collections::HashMap;
 
@@ -753,6 +752,128 @@ mod tests {
         got.sort_by_key(key);
         expect.sort_by_key(key);
         assert_eq!(got, expect);
+    }
+
+    fn elastic(seed: u64) -> HeapCore {
+        HeapCore::new_elastic(HeapConfig::default(), seed, DEFAULT_INITIAL_FRACTION_LOG2).unwrap()
+    }
+
+    #[test]
+    fn elastic_starts_small() {
+        let h = elastic(1);
+        let c0 = SizeClass::from_index(0);
+        let max = h.config().capacity(c0);
+        assert!(h.partition(c0).capacity() <= (max >> DEFAULT_INITIAL_FRACTION_LOG2) + 2);
+        assert!(h.committed_bytes() < HeapConfig::default().heap_span() / 16);
+        assert_eq!(heap(1).committed_bytes(), HeapConfig::default().heap_span());
+    }
+
+    #[test]
+    fn elastic_start_capacities_are_pow2_for_the_shift_draw() {
+        // Every start — and therefore every doubling of it — must be a
+        // power of two, also for non-dyadic multipliers, or the partition
+        // falls back to the slower `below` draw.
+        for cfg in [
+            HeapConfig::default(),
+            HeapConfig::default().with_multiplier(3.0),
+            HeapConfig::default().with_multiplier(4.0 / 3.0),
+        ] {
+            let h = HeapCore::new_elastic(cfg, 9, DEFAULT_INITIAL_FRACTION_LOG2).unwrap();
+            for c in SizeClass::all() {
+                let start = h.partition(c).capacity();
+                assert!(
+                    start.is_power_of_two(),
+                    "class {} starts at non-pow2 {start}",
+                    c.index()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn elastic_grows_under_pressure_and_addresses_stay_valid() {
+        let mut h = elastic(2);
+        let c0 = SizeClass::from_index(0);
+        let start = h.partition(c0).capacity();
+        let mut offsets = Vec::new();
+        for _ in 0..start * 2 {
+            let slot = h.alloc(8).expect("elastic heap must grow, not fail");
+            offsets.push(h.offset_of(slot));
+        }
+        assert!(h.partition(c0).capacity() > start);
+        assert!(h.growth_events() > 0);
+        assert_eq!(h.stats().exhausted, 0, "growth denials are not exhaustion");
+        // All earlier offsets still free correctly after growth.
+        for off in offsets {
+            assert!(h.free_at(off).freed(), "offset {off} should still be live");
+        }
+        assert_eq!(h.live_objects(), 0);
+    }
+
+    #[test]
+    fn elastic_growth_capped_at_configured_maximum() {
+        let cfg = HeapConfig::default().with_region_bytes(64 * 1024);
+        let mut h = HeapCore::new_elastic(cfg.clone(), 3, DEFAULT_INITIAL_FRACTION_LOG2).unwrap();
+        let c11 = SizeClass::from_index(11); // 16 KB: max capacity 4
+        let max_cap = cfg.capacity(c11);
+        let mut got = 0;
+        for _ in 0..max_cap + 4 {
+            if h.alloc(16 * 1024).is_some() {
+                got += 1;
+            }
+        }
+        assert_eq!(h.partition(c11).capacity(), max_cap);
+        assert!(got <= max_cap);
+        assert!(got >= max_cap / 2, "should serve up to the 1/M cap");
+        assert_eq!(h.stats().exhausted, (max_cap + 4 - got) as u64);
+    }
+
+    #[test]
+    fn elastic_double_free_ignored() {
+        let mut h = elastic(4);
+        let slot = h.alloc(64).unwrap();
+        let off = h.offset_of(slot);
+        assert!(h.free_at(off).freed());
+        assert_eq!(h.free_at(off), FreeOutcome::NotAllocated);
+    }
+
+    #[test]
+    fn elastic_offsets_disjoint_from_other_classes() {
+        let mut h = elastic(5);
+        let a = h.alloc(8).unwrap();
+        let b = h.alloc(16 * 1024).unwrap();
+        let (oa, ob) = (h.offset_of(a), h.offset_of(b));
+        assert!(oa < h.config().region_bytes);
+        assert!(ob >= 11 * h.config().region_bytes);
+    }
+
+    proptest! {
+        /// Under arbitrary alloc/free interleavings the elastic heap never
+        /// hands out overlapping objects, even across growth events.
+        #[test]
+        fn elastic_no_overlap_across_growth(
+            seed in any::<u64>(),
+            ops in proptest::collection::vec((any::<bool>(), 1usize..512), 1..300),
+        ) {
+            let mut h = elastic(seed);
+            let mut live: Vec<(usize, usize)> = Vec::new(); // (offset, size)
+            let mut rng = Mwc::seeded(seed);
+            for (do_alloc, sz) in ops {
+                if do_alloc || live.is_empty() {
+                    if let Some(slot) = h.alloc(sz) {
+                        let off = h.offset_of(slot);
+                        for &(o, s) in &live {
+                            prop_assert!(off + slot.size() <= o || o + s <= off,
+                                "overlap at {off}");
+                        }
+                        live.push((off, slot.size()));
+                    }
+                } else {
+                    let (off, _) = live.swap_remove(rng.below(live.len()));
+                    prop_assert!(h.free_at(off).freed());
+                }
+            }
+        }
     }
 
     proptest! {

@@ -17,25 +17,28 @@
 //! ## Layout of this crate
 //!
 //! * [`rng`] — Marsaglia multiply-with-carry generator (§4.1).
-//! * [`bitmap`] — one-bit-per-object allocation bitmaps (§4.1).
+//! * [`bitmap`] — the two-bit-per-object slot-state map behind every
+//!   region's allocation metadata (§4.1).
 //! * [`size_class`] — the twelve 8 B…16 KB classes (§4.1).
-//! * [`partition`] — per-class random probing and the `1/M` cap (§4.2).
+//! * [`partition`] — per-class random probing and the `1/M` cap (§4.2),
+//!   with a lock-free `&self` path and a plain `&mut self` path over one
+//!   state.
 //! * [`engine`] — [`engine::HeapCore`], `DieHardMalloc`/`DieHardFree` over
-//!   abstract byte offsets, shared by the simulated and real heaps.
+//!   abstract byte offsets, shared by the simulated and real heaps; fixed
+//!   or elastic (the adaptive-growth variant from future work, §9).
 //! * [`large`] — the large-object validity table (§4.1–4.3).
 //! * [`safe_str`] — heap-bounded `strcpy`/`strncpy` (§4.4).
-//! * [`env`] — audited parsing for the `DIEHARD_*` environment knobs.
+//! * [`env`](mod@env) — audited parsing for the `DIEHARD_*` environment knobs.
 //! * [`analysis`] — Theorems 1–3 and the expectation formulas (§3.1, §6).
-//! * [`adaptive`] — the adaptive-growth variant from future work (§9).
 //! * [`sync`] — allocation-free [`sync::SpinLock`] and [`sync::OnceCell`].
-//! * [`sharded`] — [`sharded::ShardedHeap`], the thread-safe heap with one
-//!   lock per size class (concurrent allocations in different classes never
-//!   contend).
+//! * [`sharded`] — [`sharded::ShardedHeap`], the thread-safe heap: lock-free
+//!   alloc and free over one partition per size class (concurrent
+//!   allocations in different classes never contend).
 //! * [`magazine`] — [`magazine::MagazineHeap`], thread-local allocation
 //!   magazines in front of the sharded heap: batched, probe-loop-sampled
 //!   refills and buffered frees, so same-class allocations from different
 //!   threads stop contending too.
-//! * [`global`] *(feature `global`, Unix)* — a real `#[global_allocator]`
+//! * `global` *(feature `global`, Unix)* — a real `#[global_allocator]`
 //!   built on `mmap`, with guard-paged large objects, sharded per class.
 //!
 //! ## Quick start
@@ -58,7 +61,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod adaptive;
 pub mod analysis;
 pub mod bitmap;
 pub mod config;
@@ -91,7 +93,7 @@ mod tests {
         fn assert_send<T: Send>() {}
         assert_send::<crate::engine::HeapCore>();
         assert_send::<crate::rng::Mwc>();
-        assert_send::<crate::bitmap::Bitmap>();
+        assert_send::<crate::bitmap::SlotStateMap>();
         assert_send::<crate::large::LargeTable>();
     }
 

@@ -61,7 +61,7 @@
 //! that returns empty records one exhaustion per denied request, and a
 //! free-buffer flush records its batch of frees/ignored-frees as two atomic
 //! adds. Probe accounting is unchanged by batching: `reserve_batch` counts
-//! draws exactly like `alloc`, so §4.2's E[probes] statistics aggregate
+//! draws exactly like `alloc`, so §4.2's E\[probes\] statistics aggregate
 //! refill and direct traffic identically. Thread exit (guard drop) flushes
 //! buffered frees and returns every unhanded reservation to its shard —
 //! zero leaked reservations, no spurious stats.

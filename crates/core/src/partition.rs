@@ -1,48 +1,27 @@
-//! A single size-class region: bitmap, fullness accounting, random probing.
+//! A single size-class region: slot states, fullness accounting, random
+//! probing.
 //!
 //! Implements the per-region half of `DieHardMalloc`/`DieHardFree`
 //! (Figure 2 of the paper): hash-table-style probing for a free slot,
 //! the `1/M` fullness threshold, and the allocated-bit bookkeeping.
 //!
-//! Each partition owns its own [`Mwc`] stream, so a partition is a complete,
-//! independently-lockable *shard* of the heap: no shared RNG (or any other
+//! Each partition owns its own [`AtomicMwc`] stream, so a partition is a
+//! complete, independent *shard* of the heap: no shared RNG (or any other
 //! shared mutable state) couples allocations in different size classes.
 
-use crate::bitmap::{Bitmap, SlotState, SlotStateMap};
-use crate::rng::{AtomicMwc, Mwc};
+use crate::bitmap::{SlotState, SlotStateMap};
+use crate::rng::AtomicMwc;
 use crate::size_class::SizeClass;
 use core::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-/// One size-class region of the DieHard heap.
-///
-/// The partition works purely in slot indices; converting indices to byte
-/// offsets (or machine pointers) is the enclosing heap's job. This lets the
-/// simulated heap and the real `mmap`-backed heap share the exact same
-/// placement logic.
-#[derive(Debug)]
-pub struct Partition {
-    class: SizeClass,
-    bitmap: Bitmap,
-    capacity: usize,
-    threshold: usize,
-    in_use: usize,
-    rng: Mwc,
-    /// `64 - log2(capacity)` when the capacity is a power of two (every
-    /// region the heap geometry builds): a probe index is then drawn as
-    /// `next_u64() >> draw_shift`, which is **bit-identical** to the
-    /// widening-multiply [`Mwc::below`] for a power-of-two bound —
-    /// `(r * 2^k) >> 64 == r >> (64 - k)` — but costs a shift instead of a
-    /// 128-bit multiply. `0` means the capacity is not a power of two (the
-    /// adaptive variant's odd start sizes) and probes fall back to `below`.
-    draw_shift: u32,
-    /// Total probes performed by `alloc`, for validating the paper's
-    /// E[probes] = 1/(1 - 1/M) claim (§4.2).
-    probes: u64,
-    allocs: u64,
-}
-
 /// The strength-reduced draw shift for `capacity`, or the `0` sentinel when
 /// only the general widening-multiply draw is exact.
+///
+/// A power-of-two capacity (every region the heap geometry builds) draws a
+/// probe index as `next_u64() >> (64 - log2(capacity))`, which is
+/// **bit-identical** to the widening-multiply
+/// [`Mwc::below`](crate::rng::Mwc::below) — `(r * 2^k) >> 64 == r >> (64 - k)`
+/// — but costs a shift instead of a 128-bit multiply.
 #[inline]
 fn draw_shift_for(capacity: usize) -> u32 {
     if capacity.is_power_of_two() && capacity > 1 {
@@ -53,229 +32,48 @@ fn draw_shift_for(capacity: usize) -> u32 {
     }
 }
 
-impl Partition {
-    /// Creates an empty partition with `capacity` slots of which at most
-    /// `threshold` may be live at once, probing with its own RNG stream
-    /// seeded from `seed`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threshold > capacity` or `capacity == 0`.
-    #[must_use]
-    pub fn new(class: SizeClass, capacity: usize, threshold: usize, seed: u64) -> Self {
-        assert!(capacity > 0, "partition capacity must be positive");
-        assert!(
-            threshold <= capacity,
-            "threshold {threshold} exceeds capacity {capacity}"
-        );
-        Self {
-            class,
-            bitmap: Bitmap::new(capacity),
-            capacity,
-            threshold,
-            in_use: 0,
-            rng: Mwc::seeded(seed),
-            draw_shift: draw_shift_for(capacity),
-            probes: 0,
-            allocs: 0,
+/// The probe loop every allocation path shares (§4.2): draw an index, try
+/// to claim it, repeat until a claim wins. Returns the won index and the
+/// number of draws — one draw is one probe, whether the claim lost to an
+/// occupied slot or to a racing claimant.
+#[inline(always)]
+fn probe(mut draw: impl FnMut() -> usize, mut claim: impl FnMut(usize) -> bool) -> (usize, u64) {
+    let mut probes = 0u64;
+    loop {
+        probes += 1;
+        let index = draw();
+        if claim(index) {
+            return (index, probes);
         }
-    }
-
-    /// As [`new`](Self::new) but over caller-provided zeroed bitmap words,
-    /// for allocators that cannot allocate (the global allocator's metadata
-    /// arena).
-    ///
-    /// # Safety
-    ///
-    /// Same contract as [`Bitmap::from_storage`].
-    #[must_use]
-    pub unsafe fn from_storage(
-        class: SizeClass,
-        capacity: usize,
-        threshold: usize,
-        seed: u64,
-        words: *mut u64,
-    ) -> Self {
-        assert!(capacity > 0, "partition capacity must be positive");
-        assert!(
-            threshold <= capacity,
-            "threshold {threshold} exceeds capacity {capacity}"
-        );
-        Self {
-            class,
-            // SAFETY: forwarded caller contract.
-            bitmap: unsafe { Bitmap::from_storage(words, capacity) },
-            capacity,
-            threshold,
-            in_use: 0,
-            rng: Mwc::seeded(seed),
-            draw_shift: draw_shift_for(capacity),
-            probes: 0,
-            allocs: 0,
-        }
-    }
-
-    /// The size class this partition serves.
-    #[must_use]
-    pub fn class(&self) -> SizeClass {
-        self.class
-    }
-
-    /// Total slots in the region.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Maximum simultaneously-live slots (`capacity / M`).
-    #[must_use]
-    pub fn threshold(&self) -> usize {
-        self.threshold
-    }
-
-    /// Currently live slots (the paper's `inUse[c]`).
-    #[must_use]
-    #[inline]
-    pub fn in_use(&self) -> usize {
-        self.in_use
-    }
-
-    /// Fraction of the region currently live.
-    #[must_use]
-    pub fn fullness(&self) -> f64 {
-        self.in_use as f64 / self.capacity as f64
-    }
-
-    /// `true` when the region has hit its `1/M` cap.
-    #[must_use]
-    #[inline]
-    pub fn at_threshold(&self) -> bool {
-        self.in_use >= self.threshold
-    }
-
-    /// Picks a uniformly random free slot, marks it live, and returns its
-    /// index; `None` when the region is at its threshold (the paper returns
-    /// `NULL` here — "At threshold: no more memory").
-    ///
-    /// Probing repeats until an empty slot is found, exactly like probing an
-    /// open hash table (§4.2). Because at most `1/M` of the region is ever
-    /// live, the expected probe count is `1/(1 - 1/M)`. Indices are drawn
-    /// from the partition's private RNG stream.
-    #[inline]
-    pub fn alloc(&mut self) -> Option<usize> {
-        if self.at_threshold() {
-            return None;
-        }
-        self.allocs += 1;
-        loop {
-            self.probes += 1;
-            // Power-of-two capacities (every geometry-built region) draw
-            // with one shift; the result is bit-identical to `below`, so
-            // placement sequences are stable across the two paths.
-            let index = if self.draw_shift != 0 {
-                (self.rng.next_u64() >> self.draw_shift) as usize
-            } else {
-                self.rng.below(self.capacity)
-            };
-            if self.bitmap.try_set(index) {
-                self.in_use += 1;
-                return Some(index);
-            }
-        }
-    }
-
-    /// Frees `index` if it is currently live; returns `false` (ignoring the
-    /// request, §4.3) when the slot is already free — a double or invalid
-    /// free.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index >= capacity` — the enclosing heap validates range
-    /// and alignment before calling in, so this indicates a heap bug.
-    #[inline]
-    pub fn free(&mut self, index: usize) -> bool {
-        if self.bitmap.get(index) {
-            self.bitmap.clear(index);
-            self.in_use -= 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Whether `index` is currently live.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index >= capacity`.
-    #[must_use]
-    #[inline]
-    pub fn is_live(&self, index: usize) -> bool {
-        self.bitmap.get(index)
-    }
-
-    /// Iterates over the indices of live slots.
-    pub fn live_slots(&self) -> impl Iterator<Item = usize> + '_ {
-        self.bitmap.iter_ones()
-    }
-
-    /// Mean number of free slots between consecutive live slots, used to
-    /// check the paper's E[minimum separation] = M − 1 claim (§3.1).
-    /// Returns `None` with fewer than two live slots.
-    #[must_use]
-    pub fn mean_live_gap(&self) -> Option<f64> {
-        let live: Vec<usize> = self.bitmap.iter_ones().collect();
-        if live.len() < 2 {
-            return None;
-        }
-        let gaps: usize = live.windows(2).map(|w| w[1] - w[0] - 1).sum();
-        Some(gaps as f64 / (live.len() - 1) as f64)
-    }
-
-    /// Lifetime probe statistics: `(allocations, total probes)`.
-    #[must_use]
-    pub fn probe_stats(&self) -> (u64, u64) {
-        (self.allocs, self.probes)
-    }
-
-    /// Grows the region's slot count to `new_capacity`, rescaling the
-    /// threshold proportionally. Supports the adaptive variant sketched in
-    /// the paper's future work (§9). Existing live slots keep their indices.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `new_capacity < capacity`, or when the partition was built
-    /// over raw storage (the fixed-size global allocator never grows).
-    pub fn grow(&mut self, new_capacity: usize, new_threshold: usize) {
-        assert!(
-            new_capacity >= self.capacity,
-            "cannot shrink partition from {} to {new_capacity}",
-            self.capacity
-        );
-        assert!(new_threshold <= new_capacity);
-        let mut bigger = Bitmap::new(new_capacity);
-        for idx in self.bitmap.iter_ones() {
-            bigger.set(idx);
-        }
-        self.bitmap = bigger;
-        self.capacity = new_capacity;
-        self.threshold = new_threshold;
-        self.draw_shift = draw_shift_for(new_capacity);
     }
 }
 
-/// A lock-free [`Partition`]: the same size-class region, probed and claimed
-/// entirely with atomics so allocation and free never take a lock.
+/// One size-class region of the DieHard heap: a slot-state map, the `1/M`
+/// cap, and the random probe loop, with two entry points over one state.
 ///
-/// This is the per-shard type behind [`crate::sharded::ShardedHeap`]'s fast
-/// path. Slot state lives in a paired-bit [`SlotStateMap`], probe indices
-/// come from a CAS-advanced [`AtomicMwc`] on the same stream a locked
-/// [`Partition`] would draw, and the `1/M` cap is enforced by a ticket on an
-/// atomic `in_use` counter. The determinism contract:
+/// The partition works purely in slot indices; converting indices to byte
+/// offsets (or machine pointers) is the enclosing heap's job. This lets the
+/// simulated heap and the real `mmap`-backed heap share the exact same
+/// placement logic.
 ///
-/// * **Single-threaded alloc-only sequences are bit-identical to
-///   [`Partition`]** for the same seed — the RNG stream, the shift draw, and
-///   the win/lose outcome of each claim are all the same.
+/// * **Shared (`&self`)**: [`alloc`](Self::alloc), [`free`](Self::free) and
+///   the magazine's reservation calls are lock-free. Slot state lives in a
+///   paired-bit [`SlotStateMap`], probe indices come from a CAS-advanced
+///   [`AtomicMwc`], and the `1/M` cap is enforced by a ticket on an atomic
+///   `in_use` counter. This is the per-shard type behind
+///   [`crate::sharded::ShardedHeap`].
+/// * **Single owner (`&mut self`)**: [`alloc_mut`](Self::alloc_mut) and
+///   [`free_mut`](Self::free_mut) make the same transitions with plain
+///   loads and stores (`Atomic*::get_mut`), so they pay no read-modify-write.
+///   [`HeapCore`](crate::engine::HeapCore) and the Monte Carlo harnesses
+///   use them.
+///
+/// The determinism contract:
+///
+/// * **The two entry points are interchangeable.** Serially, `alloc_mut`
+///   and `alloc` draw the same RNG stream with the same shift draw, win or
+///   lose each claim alike, and account tickets and probes identically, so
+///   any mix of them replays the same placements for the same seed.
 /// * **Under contention the placement *sequence* may diverge** from any
 ///   serial execution (two threads' draws interleave one RNG stream, and a
 ///   lost claim redraws), but every placement is still a uniformly random
@@ -283,11 +81,10 @@ impl Partition {
 ///   contended-retry divergence rule: determinism is per-thread-serialized
 ///   history, not cross-thread.
 ///
-/// Probe accounting matches the locked path exactly: one RNG draw is one
-/// probe, whether the claim then loses to an already-occupied slot (locked
-/// path: `try_set` false) or to a racing claimant (CAS path only). Both
-/// show up identically in `probe_stats`, keeping the §4.2
-/// E[probes] = 1/(1 − 1/M) assertions honest.
+/// Probe accounting is one RNG draw per probe, whether the claim then loses
+/// to an already-occupied slot or to a racing claimant (shared path only).
+/// Both show up identically in `probe_stats`, keeping the §4.2
+/// E\[probes\] = 1/(1 − 1/M) assertions honest.
 ///
 /// # Why the probe loop terminates
 ///
@@ -315,8 +112,8 @@ impl Partition {
 ///   sentinel (falls back to [`AtomicMwc::below`]); elastic capacities are
 ///   always pow2, so the hot path never takes it.
 /// * `tickets` = `allocs << 32 | in_use`: the `1/M` ticket and the telemetry
-///   allocation counter advance in **one** `fetch_add` (the ROADMAP's
-///   one-RMW dial; the alloc counter narrows to 32 bits, wrapping mod 2³²).
+///   allocation counter advance in **one** `fetch_add` (the alloc counter
+///   narrows to 32 bits, wrapping mod 2³²).
 #[derive(Debug)]
 pub struct AtomicPartition {
     class: SizeClass,
@@ -359,8 +156,9 @@ fn pack_active(draw_shift: u32, threshold: usize) -> u64 {
 }
 
 impl AtomicPartition {
-    /// Creates an empty lock-free partition; same parameters and panics as
-    /// [`Partition::new`]. The partition is *fixed-size*: it never grows.
+    /// Creates an empty partition with `capacity` slots of which at most
+    /// `threshold` may be occupied at once, probing with its own RNG stream
+    /// seeded from `seed`. The partition is *fixed-size*: it never grows.
     ///
     /// # Panics
     ///
@@ -388,37 +186,8 @@ impl AtomicPartition {
         seed: u64,
     ) -> Self {
         Self::check_geometry(max_capacity, initial_capacity, initial_threshold);
-        Self {
-            class,
-            map: SlotStateMap::new(max_capacity),
-            max_capacity,
-            capacity: AtomicUsize::new(initial_capacity),
-            active: AtomicU64::new(pack_active(
-                draw_shift_for(initial_capacity),
-                initial_threshold,
-            )),
-            tickets: AtomicU64::new(0),
-            rng: AtomicMwc::seeded(seed),
-            probes: AtomicU64::new(0),
-        }
-    }
-
-    /// As [`new`](Self::new) but over caller-provided zeroed storage of
-    /// [`Self::words_needed`]`(capacity)` u64 words.
-    ///
-    /// # Safety
-    ///
-    /// Same contract as [`SlotStateMap::from_storage`].
-    #[must_use]
-    pub unsafe fn from_storage(
-        class: SizeClass,
-        capacity: usize,
-        threshold: usize,
-        seed: u64,
-        words: *mut u64,
-    ) -> Self {
-        // SAFETY: forwarded caller contract.
-        unsafe { Self::from_storage_elastic(class, capacity, capacity, threshold, seed, words) }
+        let map = SlotStateMap::new(max_capacity);
+        Self::with_map(class, map, initial_capacity, initial_threshold, seed)
     }
 
     /// As [`new_elastic`](Self::new_elastic) but over caller-provided zeroed
@@ -439,20 +208,9 @@ impl AtomicPartition {
         words: *mut u64,
     ) -> Self {
         Self::check_geometry(max_capacity, initial_capacity, initial_threshold);
-        Self {
-            class,
-            // SAFETY: forwarded caller contract.
-            map: unsafe { SlotStateMap::from_storage(words, max_capacity) },
-            max_capacity,
-            capacity: AtomicUsize::new(initial_capacity),
-            active: AtomicU64::new(pack_active(
-                draw_shift_for(initial_capacity),
-                initial_threshold,
-            )),
-            tickets: AtomicU64::new(0),
-            rng: AtomicMwc::seeded(seed),
-            probes: AtomicU64::new(0),
-        }
+        // SAFETY: forwarded caller contract.
+        let map = unsafe { SlotStateMap::from_storage(words, max_capacity) };
+        Self::with_map(class, map, initial_capacity, initial_threshold, seed)
     }
 
     fn check_geometry(max_capacity: usize, initial_capacity: usize, initial_threshold: usize) {
@@ -469,6 +227,29 @@ impl AtomicPartition {
             (max_capacity as u64) <= TICKET_IN_USE_MASK >> 1,
             "max capacity {max_capacity} overflows the packed 32-bit ticket word"
         );
+    }
+
+    /// Field initialization shared by the constructors, after their checks.
+    fn with_map(
+        class: SizeClass,
+        map: SlotStateMap,
+        initial_capacity: usize,
+        initial_threshold: usize,
+        seed: u64,
+    ) -> Self {
+        Self {
+            class,
+            max_capacity: map.len(),
+            map,
+            capacity: AtomicUsize::new(initial_capacity),
+            active: AtomicU64::new(pack_active(
+                draw_shift_for(initial_capacity),
+                initial_threshold,
+            )),
+            tickets: AtomicU64::new(0),
+            rng: AtomicMwc::seeded(seed),
+            probes: AtomicU64::new(0),
+        }
     }
 
     /// Words of metadata storage a partition of `capacity` slots needs
@@ -601,34 +382,78 @@ impl AtomicPartition {
     /// The magazine refill's lock-free twin of [`alloc`](Self::alloc):
     /// claims the slot as *reserved* (`00 → 11`) instead of live. Probe and
     /// allocation accounting are identical, so refills keep the same
-    /// E[probes] statistics as direct allocations.
+    /// E\[probes\] statistics as direct allocations.
     #[inline]
     pub fn reserve_one(&self) -> Option<usize> {
         self.probe_claim(|index| self.map.reserve(index))
     }
 
     #[inline]
-    fn probe_claim(&self, claim: impl Fn(usize) -> bool) -> Option<usize> {
+    fn probe_claim(&self, claim: impl FnMut(usize) -> bool) -> Option<usize> {
         if !self.take_ticket() {
             return None;
         }
-        let mut probes = 0u64;
-        loop {
-            probes += 1;
-            // Re-read the packed active word every draw: a concurrent grow
-            // can raise the threshold past the *old* capacity, and probing
-            // only the stale range could then spin on a full region. The
-            // relaxed reload of a rarely-written line is free next to the
-            // draw itself, and single-threaded it always reads the same
-            // word — determinism is untouched.
-            let index = self.draw(self.active.load(Ordering::Relaxed));
-            if claim(index) {
-                // One deferred add per allocation, not per probe: same
-                // totals as the locked path's per-probe increment.
-                self.probes.fetch_add(probes, Ordering::Relaxed);
-                return Some(index);
-            }
+        // Re-read the packed active word every draw: a concurrent grow can
+        // raise the threshold past the *old* capacity, and probing only the
+        // stale range could then spin on a full region. The relaxed reload
+        // of a rarely-written line is free next to the draw itself, and
+        // single-threaded it always reads the same word — determinism is
+        // untouched.
+        let (index, probes) = probe(|| self.draw(self.active.load(Ordering::Relaxed)), claim);
+        // One deferred add per allocation, not per probe.
+        self.probes.fetch_add(probes, Ordering::Relaxed);
+        Some(index)
+    }
+
+    /// The single-owner `DieHardMalloc`: [`alloc`](Self::alloc) with plain
+    /// loads and stores instead of atomic read-modify-writes. `&mut self`
+    /// rules out racing claimants and growers, so the ticket check, the
+    /// draw parameters and the RNG state are read once and written back
+    /// once. The draw stream, tickets and probe accounting match `alloc`
+    /// exactly: the two may be mixed freely on one partition. `None` when
+    /// the region is at its threshold.
+    #[inline]
+    pub fn alloc_mut(&mut self) -> Option<usize> {
+        let active = *self.active.get_mut();
+        let tickets = self.tickets.get_mut();
+        if (*tickets & TICKET_IN_USE_MASK) as usize >= (active & ACTIVE_THRESHOLD_MASK) as usize {
+            return None;
         }
+        *tickets = tickets.wrapping_add(TICKET);
+        let shift = (active >> ACTIVE_SHIFT_BITS) as u32;
+        let capacity = *self.capacity.get_mut();
+        let map = &mut self.map;
+        let (index, probes) = self.rng.with_mut(|rng| {
+            probe(
+                || {
+                    if shift != 0 {
+                        (rng.next_u64() >> shift) as usize
+                    } else {
+                        rng.below(capacity)
+                    }
+                },
+                |index| map.claim_live_mut(index),
+            )
+        });
+        let total = self.probes.get_mut();
+        *total = total.wrapping_add(probes);
+        Some(index)
+    }
+
+    /// The single-owner `DieHardFree`: [`free`](Self::free) with plain
+    /// loads and stores. Returns the state the slot was in, exactly as
+    /// `free` does.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index >= max_capacity`.
+    #[inline]
+    pub fn free_mut(&mut self, index: usize) -> SlotState {
+        let was = self.map.free_mut(index);
+        if was == SlotState::Live {
+            *self.tickets.get_mut() -= 1;
+        }
+        was
     }
 
     /// Reserves up to `out.len()` slots with **batched accounting**: one
@@ -670,14 +495,12 @@ impl AtomicPartition {
         }
         let mut probes = 0u64;
         for slot in &mut out[..granted] {
-            loop {
-                probes += 1;
-                let index = self.draw(self.active.load(Ordering::Relaxed));
-                if self.map.reserve(index) {
-                    *slot = index;
-                    break;
-                }
-            }
+            let (index, n) = probe(
+                || self.draw(self.active.load(Ordering::Relaxed)),
+                |index| self.map.reserve(index),
+            );
+            *slot = index;
+            probes += n;
         }
         self.probes.fetch_add(probes, Ordering::Relaxed);
         granted
@@ -773,8 +596,7 @@ impl AtomicPartition {
     }
 
     /// Iterates the indices of occupied slots (live or reserved) — the
-    /// placement set the separation statistics are computed over, matching
-    /// the locked stack where reservations also set the partition bit.
+    /// placement set the separation statistics are computed over.
     pub fn occupied_slots(&self) -> impl Iterator<Item = usize> + '_ {
         self.map.iter_occupied()
     }
@@ -790,10 +612,10 @@ impl AtomicPartition {
         self.map.reserved_count()
     }
 
-    /// Mean free gap between consecutive occupied slots; see
-    /// [`Partition::mean_live_gap`]. Computed over occupied slots so the
-    /// statistic is unchanged from the locked stack (where a reservation
-    /// also set the placement bit).
+    /// Mean number of free slots between consecutive occupied slots, used to
+    /// check the paper's E[minimum separation] = M − 1 claim (§3.1).
+    /// Reservations count as placements. Returns `None` with fewer than two
+    /// occupied slots.
     #[must_use]
     pub fn mean_live_gap(&self) -> Option<f64> {
         let occupied: Vec<usize> = self.map.iter_occupied().collect();
@@ -821,14 +643,15 @@ impl AtomicPartition {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::Mwc;
     use proptest::prelude::*;
     use std::collections::HashSet;
 
-    fn part_seeded(cap: usize, thresh: usize, seed: u64) -> Partition {
-        Partition::new(SizeClass::from_index(0), cap, thresh, seed)
+    fn part_seeded(cap: usize, thresh: usize, seed: u64) -> AtomicPartition {
+        AtomicPartition::new(SizeClass::from_index(0), cap, thresh, seed)
     }
 
-    fn part(cap: usize, thresh: usize) -> Partition {
+    fn part(cap: usize, thresh: usize) -> AtomicPartition {
         part_seeded(cap, thresh, 0xDEED)
     }
 
@@ -837,21 +660,21 @@ mod tests {
         let mut p = part_seeded(64, 32, 1);
         let mut seen = HashSet::new();
         for _ in 0..32 {
-            let idx = p.alloc().expect("below threshold");
+            let idx = p.alloc_mut().expect("below threshold");
             assert!(seen.insert(idx), "duplicate slot handed out");
             assert!(idx < 64);
         }
         assert!(p.at_threshold());
-        assert_eq!(p.alloc(), None, "at threshold: no more memory");
+        assert_eq!(p.alloc_mut(), None, "at threshold: no more memory");
         assert_eq!(p.in_use(), 32);
     }
 
     #[test]
     fn free_returns_slot_for_reuse() {
         let mut p = part_seeded(16, 8, 2);
-        let idx = p.alloc().unwrap();
+        let idx = p.alloc_mut().unwrap();
         assert!(p.is_live(idx));
-        assert!(p.free(idx));
+        assert_eq!(p.free_mut(idx), SlotState::Live);
         assert!(!p.is_live(idx));
         assert_eq!(p.in_use(), 0);
     }
@@ -859,16 +682,20 @@ mod tests {
     #[test]
     fn double_free_is_ignored() {
         let mut p = part_seeded(16, 8, 3);
-        let idx = p.alloc().unwrap();
-        assert!(p.free(idx));
-        assert!(!p.free(idx), "second free must be ignored");
+        let idx = p.alloc_mut().unwrap();
+        assert_eq!(p.free_mut(idx), SlotState::Live);
+        assert_eq!(
+            p.free_mut(idx),
+            SlotState::Free,
+            "second free must be ignored"
+        );
         assert_eq!(p.in_use(), 0, "accounting unchanged by double free");
     }
 
     #[test]
     fn invalid_free_of_never_allocated_slot_ignored() {
         let mut p = part(16, 8);
-        assert!(!p.free(5));
+        assert_eq!(p.free_mut(5), SlotState::Free);
         assert_eq!(p.in_use(), 0);
     }
 
@@ -877,7 +704,7 @@ mod tests {
         let mut p = part_seeded(64, 32, 4);
         assert_eq!(p.fullness(), 0.0);
         for _ in 0..16 {
-            p.alloc();
+            p.alloc_mut();
         }
         assert!((p.fullness() - 0.25).abs() < f64::EPSILON);
     }
@@ -888,7 +715,7 @@ mod tests {
         // over a region driven to its threshold, the mean probe count from
         // an occupancy ramping 0 → 1/2 must be well under 2.
         let mut p = part_seeded(4096, 2048, 5);
-        while p.alloc().is_some() {}
+        while p.alloc_mut().is_some() {}
         let (allocs, probes) = p.probe_stats();
         assert_eq!(allocs, 2048);
         let mean = probes as f64 / allocs as f64;
@@ -905,15 +732,15 @@ mod tests {
         let mut p = part_seeded(4096, 2048, 6);
         let mut victim_rng = Mwc::seeded(60);
         for _ in 0..2047 {
-            p.alloc();
+            p.alloc_mut();
         }
         let (a0, p0) = p.probe_stats();
         let mut freed: Vec<usize> = Vec::new();
         for _ in 0..20_000 {
-            let idx = p.alloc().unwrap();
+            let idx = p.alloc_mut().unwrap();
             freed.push(idx);
             let victim = freed.swap_remove(victim_rng.below(freed.len()));
-            p.free(victim);
+            p.free_mut(victim);
         }
         let (a1, p1) = p.probe_stats();
         let mean = (p1 - p0) as f64 / (a1 - a0) as f64;
@@ -927,32 +754,32 @@ mod tests {
     fn mean_gap_none_when_sparse() {
         let mut p = part_seeded(64, 32, 7);
         assert_eq!(p.mean_live_gap(), None);
-        p.alloc();
+        p.alloc_mut();
         assert_eq!(p.mean_live_gap(), None);
-        p.alloc();
+        p.alloc_mut();
         assert!(p.mean_live_gap().is_some());
     }
 
     #[test]
     fn grow_preserves_live_slots() {
-        let mut p = part_seeded(32, 16, 8);
+        let mut p = AtomicPartition::new_elastic(SizeClass::from_index(0), 64, 32, 16, 8);
         let mut live = HashSet::new();
         for _ in 0..16 {
-            live.insert(p.alloc().unwrap());
+            live.insert(p.alloc_mut().unwrap());
         }
         assert!(p.at_threshold());
-        p.grow(64, 32);
+        p.grow_to(64, 32);
         assert!(!p.at_threshold());
         let after: HashSet<usize> = p.live_slots().collect();
         assert_eq!(after, live);
         // Freshly unlocked capacity is allocatable.
-        assert!(p.alloc().is_some());
+        assert!(p.alloc_mut().is_some());
     }
 
     #[test]
     #[should_panic(expected = "cannot shrink")]
     fn grow_rejects_shrinking() {
-        part(32, 16).grow(16, 8);
+        part(32, 16).grow_to(16, 8);
     }
 
     #[test]
@@ -961,44 +788,53 @@ mod tests {
         part(8, 9);
     }
 
-    fn atomic_seeded(cap: usize, thresh: usize, seed: u64) -> AtomicPartition {
-        AtomicPartition::new(SizeClass::from_index(0), cap, thresh, seed)
-    }
-
+    /// The single-owner path replays the shared one bit for bit over mixed
+    /// alloc/free traffic: placements, tickets, probe statistics and the
+    /// separation statistic all agree for the same seed. Three shapes: a
+    /// power-of-two capacity (the shift draw), a non-power-of-two one (the
+    /// widening-multiply `below` draw), and `threshold == capacity` (the
+    /// Monte Carlo figures' uncapped regions, probed up to completely full).
     #[test]
-    fn atomic_matches_locked_partition_serially() {
-        // The determinism contract: single-threaded, the lock-free partition
-        // replays the locked one bit for bit — placements, accounting, and
-        // probe statistics all identical for the same seed.
-        let mut locked = part_seeded(4096, 2048, 0xA70A1C);
-        let atomic = atomic_seeded(4096, 2048, 0xA70A1C);
-        let mut victim_rng = Mwc::seeded(99);
-        let mut live: Vec<usize> = Vec::new();
-        for step in 0..20_000 {
-            if live.is_empty() || victim_rng.chance(0.6) {
-                let a = locked.alloc();
-                let b = atomic.alloc();
-                assert_eq!(a, b, "placement diverged at step {step}");
-                if let Some(idx) = a {
-                    live.push(idx);
+    fn mut_path_replays_shared_path_serially() {
+        for (cap, thresh) in [(4096, 2048), (3000, 1500), (1024, 1024)] {
+            let mut owned = part_seeded(cap, thresh, 0xA70A1C);
+            let shared = part_seeded(cap, thresh, 0xA70A1C);
+            let mut victim_rng = Mwc::seeded(99);
+            let mut live: Vec<usize> = Vec::new();
+            let mut denied = 0;
+            for step in 0..20_000 {
+                if live.is_empty() || victim_rng.chance(0.6) {
+                    let a = owned.alloc_mut();
+                    let b = shared.alloc();
+                    assert_eq!(a, b, "capacity {cap}: placement diverged at step {step}");
+                    match a {
+                        Some(idx) => live.push(idx),
+                        None => denied += 1,
+                    }
+                } else {
+                    let victim = live.swap_remove(victim_rng.below(live.len()));
+                    assert_eq!(owned.free_mut(victim), SlotState::Live);
+                    assert_eq!(shared.free(victim), SlotState::Live);
+                    assert_eq!(owned.free_mut(victim), shared.free(victim), "double free");
                 }
-            } else {
-                let victim = live.swap_remove(victim_rng.below(live.len()));
-                assert!(locked.free(victim));
-                assert_eq!(atomic.free(victim), SlotState::Live);
+                assert_eq!(
+                    owned.in_use(),
+                    shared.in_use(),
+                    "capacity {cap}, step {step}"
+                );
             }
-            assert_eq!(locked.in_use(), atomic.in_use());
+            assert!(denied > 0, "capacity {cap}: the run must reach the cap");
+            assert_eq!(owned.probe_stats(), shared.probe_stats(), "capacity {cap}");
+            let a: Vec<usize> = owned.occupied_slots().collect();
+            let b: Vec<usize> = shared.occupied_slots().collect();
+            assert_eq!(a, b, "capacity {cap}");
+            assert_eq!(owned.mean_live_gap(), shared.mean_live_gap());
         }
-        assert_eq!(locked.probe_stats(), atomic.probe_stats());
-        let a: Vec<usize> = locked.live_slots().collect();
-        let b: Vec<usize> = atomic.occupied_slots().collect();
-        assert_eq!(a, b);
-        assert_eq!(locked.mean_live_gap(), atomic.mean_live_gap());
     }
 
     #[test]
     fn atomic_free_validation() {
-        let p = atomic_seeded(64, 32, 5);
+        let p = part_seeded(64, 32, 5);
         let idx = p.alloc().expect("below threshold");
         assert!(p.is_live(idx));
         assert_eq!(p.free(idx), SlotState::Live);
@@ -1011,7 +847,7 @@ mod tests {
 
     #[test]
     fn atomic_reserve_commit_release_lifecycle() {
-        let p = atomic_seeded(64, 32, 6);
+        let p = part_seeded(64, 32, 6);
         let r = p.reserve_one().expect("below threshold");
         assert!(!p.is_live(r), "reserved is not live");
         assert!(p.is_occupied(r));
@@ -1034,8 +870,8 @@ mod tests {
         // Same seed, two partitions: one batched request must produce the
         // same slots in the same draw order, with identical ticket and
         // probe/alloc accounting, as sequential single reservations.
-        let one = atomic_seeded(128, 64, 0xBA7C);
-        let batch = atomic_seeded(128, 64, 0xBA7C);
+        let one = part_seeded(128, 64, 0xBA7C);
+        let batch = part_seeded(128, 64, 0xBA7C);
         let singles: Vec<usize> = (0..8).map(|_| one.reserve_one().unwrap()).collect();
         let mut out = [usize::MAX; 8];
         assert_eq!(batch.reserve_batch(&mut out), 8);
@@ -1046,7 +882,7 @@ mod tests {
 
     #[test]
     fn reserve_batch_clamps_to_threshold_and_frees_batch_reconcile() {
-        let p = atomic_seeded(64, 5, 0x0B47);
+        let p = part_seeded(64, 5, 0x0B47);
         let mut out = [usize::MAX; 8];
         assert_eq!(p.reserve_batch(&mut out), 5, "clamped at the 1/M cap");
         assert_eq!(p.in_use(), 5, "overshoot tickets returned");
@@ -1070,24 +906,41 @@ mod tests {
     fn atomic_threshold_ticket_is_exact_under_contention() {
         // 4 threads hammer a small region far past its cap; the ticket
         // protocol must never admit more than `threshold` occupants and must
-        // reconcile exactly after a full drain.
-        use std::sync::Arc;
-        let p = Arc::new(atomic_seeded(256, 128, 0xCA5));
+        // reconcile exactly after a full drain. Mid-race, `in_use()` also
+        // counts tickets a denied thread is about to back out, and a scan of
+        // the map is not a snapshot, so the cap is checked where it can be
+        // observed exactly: at barrier-quiescent checkpoints.
+        use std::sync::{Arc, Barrier};
+        const THREADS: usize = 4;
+        const OPS: usize = 5_000;
+        const CHECK_EVERY: usize = 100;
+        let p = Arc::new(part_seeded(256, 128, 0xCA5));
+        let barrier = Arc::new(Barrier::new(THREADS));
         std::thread::scope(|s| {
-            for t in 0..4usize {
+            for t in 0..THREADS {
                 let p = Arc::clone(&p);
+                let barrier = Arc::clone(&barrier);
                 s.spawn(move || {
                     let mut rng = Mwc::seeded(t as u64 + 1);
                     let mut mine: Vec<usize> = Vec::new();
-                    for _ in 0..5_000 {
+                    for op in 1..=OPS {
                         if mine.is_empty() || rng.chance(0.55) {
                             if let Some(idx) = p.alloc() {
-                                assert!(p.in_use() <= p.threshold(), "cap breached");
                                 mine.push(idx);
                             }
                         } else {
                             let victim = mine.swap_remove(rng.below(mine.len()));
                             assert_eq!(p.free(victim), SlotState::Live);
+                        }
+                        if op % CHECK_EVERY == 0 {
+                            // Every thread is parked between the two waits,
+                            // so the leader sees a quiescent partition.
+                            if barrier.wait().is_leader() {
+                                let occupied = p.occupied_slots().count();
+                                assert!(occupied <= p.threshold(), "cap breached: {occupied}");
+                                assert_eq!(p.in_use(), occupied, "ticket != occupancy");
+                            }
+                            barrier.wait();
                         }
                     }
                     for idx in mine {
@@ -1141,7 +994,7 @@ mod tests {
         // An elastic partition grown to max before any traffic draws the
         // exact sequence of a fixed partition: growth itself consumes no
         // RNG state.
-        let fixed = atomic_seeded(256, 128, 0x90F7);
+        let fixed = part_seeded(256, 128, 0x90F7);
         let elastic = AtomicPartition::new_elastic(SizeClass::from_index(0), 256, 4, 2, 0x90F7);
         elastic.grow_to(256, 128);
         for _ in 0..128 {
@@ -1166,7 +1019,7 @@ mod tests {
 
     proptest! {
         /// No two live allocations ever share a slot, and accounting matches
-        /// the bitmap exactly under arbitrary interleavings.
+        /// the slot map exactly under arbitrary interleavings.
         #[test]
         fn no_overlap_and_consistent_accounting(
             seed in any::<u64>(),
@@ -1177,7 +1030,7 @@ mod tests {
             let mut model: Vec<usize> = Vec::new();
             for op in ops {
                 if op || model.is_empty() {
-                    if let Some(idx) = p.alloc() {
+                    if let Some(idx) = p.alloc_mut() {
                         prop_assert!(!model.contains(&idx), "slot {} double-booked", idx);
                         model.push(idx);
                     } else {
@@ -1185,12 +1038,12 @@ mod tests {
                     }
                 } else {
                     let victim = model.swap_remove(rng.below(model.len()));
-                    prop_assert!(p.free(victim));
+                    prop_assert_eq!(p.free_mut(victim), SlotState::Live);
                 }
                 prop_assert_eq!(p.in_use(), model.len());
-                let bitmap_live: HashSet<usize> = p.live_slots().collect();
+                let map_live: HashSet<usize> = p.live_slots().collect();
                 let model_live: HashSet<usize> = model.iter().copied().collect();
-                prop_assert_eq!(bitmap_live, model_live);
+                prop_assert_eq!(map_live, model_live);
             }
         }
 
@@ -1200,12 +1053,12 @@ mod tests {
             let mut p = part_seeded(256, 128, seed);
             let mut live = Vec::new();
             for _ in 0..n {
-                if let Some(idx) = p.alloc() {
+                if let Some(idx) = p.alloc_mut() {
                     live.push(idx);
                 }
             }
             for idx in live {
-                prop_assert!(p.free(idx));
+                prop_assert_eq!(p.free_mut(idx), SlotState::Live);
             }
             prop_assert_eq!(p.in_use(), 0);
             prop_assert_eq!(p.live_slots().count(), 0);

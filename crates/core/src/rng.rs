@@ -160,7 +160,7 @@ impl Mwc {
     /// slice and written back once, so the loop body is pure register
     /// arithmetic — one state load/store pair per batch instead of per
     /// draw. The word stream is bit-identical to calling `next_u64` in a
-    /// loop (both run the same [`mwc_step`]).
+    /// loop (both run the same `mwc_step`).
     #[inline]
     pub fn fill_words(&mut self, out: &mut [u64]) {
         let (mut z, mut w) = (self.z, self.w);
@@ -215,8 +215,8 @@ impl Default for Mwc {
 ///
 /// * **single-threaded, the stream is bit-identical to [`Mwc`]** — every
 ///   successful draw advances the state exactly as two `next_u32` calls
-///   would, which is what keeps alloc-only placement sequences identical to
-///   the locked heap for the same seed;
+///   would, which is what keeps placement sequences identical to the
+///   single-owner path ([`with_mut`](Self::with_mut)) for the same seed;
 /// * **under contention, draws are serialized by the CAS** — each successful
 ///   `next_u64` returns a distinct consecutive pair from the one sequential
 ///   MWC stream (losers retry on the updated state), so concurrent threads
@@ -224,7 +224,7 @@ impl Default for Mwc {
 ///
 /// All state transitions use `Relaxed` ordering: the generator carries no
 /// payload other than its own lags, and slot claims are ordered separately
-/// by the bitmap's own atomics.
+/// by the slot-state map's own atomics.
 #[derive(Debug)]
 pub struct AtomicMwc {
     /// `z` in the high 32 bits, `w` in the low 32 bits.
@@ -274,6 +274,20 @@ impl AtomicMwc {
         debug_assert!(bound > 0, "bound must be positive");
         let r = self.next_u64();
         ((u128::from(r) * bound as u128) >> 64) as usize
+    }
+
+    /// Runs `f` on a plain [`Mwc`] holding this generator's state and
+    /// stores the advanced state back — the single-owner path. `&mut self`
+    /// proves no other thread draws, so the state is one plain load and one
+    /// plain store (`AtomicU64::get_mut`), with no CAS per draw; the stream
+    /// is bit-identical to calling [`next_u64`](Self::next_u64) as often.
+    #[inline]
+    pub fn with_mut<R>(&mut self, f: impl FnOnce(&mut Mwc) -> R) -> R {
+        let state = self.state.get_mut();
+        let mut m = unpack(*state);
+        let out = f(&mut m);
+        *state = pack(m.z, m.w);
+        out
     }
 }
 
@@ -581,6 +595,20 @@ mod tests {
         }
         for bound in [1usize, 3, 1024, 4095] {
             assert_eq!(atomic.below(bound), seq.below(bound));
+        }
+    }
+
+    #[test]
+    fn atomic_mwc_with_mut_continues_the_same_stream() {
+        // The single-owner path draws the very stream the CAS path would,
+        // and hands the advanced state back to it.
+        let mut seq = Mwc::seeded(0x5EED_F00D);
+        let mut atomic = AtomicMwc::seeded(0x5EED_F00D);
+        for _ in 0..100 {
+            assert_eq!(atomic.next_u64(), seq.next_u64());
+            let plain: Vec<u64> = atomic.with_mut(|m| (0..3).map(|_| m.next_u64()).collect());
+            let want: Vec<u64> = (0..3).map(|_| seq.next_u64()).collect();
+            assert_eq!(plain, want);
         }
     }
 

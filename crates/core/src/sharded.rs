@@ -20,14 +20,14 @@
 //!
 //! Determinism under the lock-free path — the pinned contended-retry rule:
 //!
-//! * single-threaded histories are **bit-identical** to the locked stack and
-//!   to [`HeapCore`](crate::engine::HeapCore) for the same master seed (same
-//!   RNG stream, same shift draw, same win/lose per probe);
+//! * single-threaded histories are **bit-identical** to
+//!   [`HeapCore`](crate::engine::HeapCore) for the same master seed (same
+//!   partitions, same RNG stream, same shift draw, same win/lose per probe);
 //! * under contention the placement *sequence* may diverge from any serial
 //!   replay — concurrent threads interleave one RNG stream and a lost claim
 //!   redraws — but every placement remains a uniformly random free slot,
 //!   accounting stays exact, and probe statistics count draws identically to
-//!   the locked path (each draw is one probe, whether it loses to an
+//!   the single-owner path (each draw is one probe, whether it loses to an
 //!   occupied slot or to a racing claimant).
 //!
 //! The isolation property that makes the decomposition sound is DieHard's
@@ -151,7 +151,7 @@ impl ShardedHeap {
         unsafe { Self::from_geometry_raw(geometry, seed, bitmap_words) }
     }
 
-    /// As [`from_raw_parts`] but elastic (see [`new_elastic`](Self::new_elastic)).
+    /// As [`from_raw_parts`](Self::from_raw_parts) but elastic (see [`new_elastic`](Self::new_elastic)).
     /// The metadata footprint is identical — slot maps are always sized for
     /// the maximum capacity — so
     /// [`bitmap_words_needed`](Self::bitmap_words_needed) applies unchanged.
@@ -192,9 +192,7 @@ impl ShardedHeap {
 
     /// Number of `u64` words of metadata storage
     /// [`from_raw_parts`](Self::from_raw_parts) requires for `config`: two
-    /// bits per slot (live + reserved), 32 slots per word — twice the
-    /// facade's one-bit bitmap, but it *absorbs* the magazine layer's old
-    /// separate reserved overlay, so the stack's total is unchanged.
+    /// bits per slot (live + reserved), 32 slots per word.
     #[must_use]
     pub fn bitmap_words_needed(config: &HeapConfig) -> usize {
         (0..NUM_CLASSES)
@@ -286,23 +284,19 @@ impl ShardedHeap {
     /// The body of [`grow_class`] for callers that already hold `class`'s
     /// maintenance lock (the magazine refill path — re-locking would
     /// deadlock on the non-reentrant `SpinLock`). Doubles the active
-    /// capacity with the exact-integer `1/M` threshold for the new size;
-    /// skips the doubling (but still reports "retry") when a racing free
+    /// capacity per [`HeapGeometry::grow_step`]; skips the doubling (but still reports "retry") when a racing free
     /// dropped the shard below its cap while we waited for the lock.
     pub(crate) fn grow_class_locked(&self, class: SizeClass) -> bool {
         let shard = &self.shards[class.index()];
-        let capacity = shard.capacity();
-        let max = self.geometry.capacity(class);
-        if capacity >= max {
+        let Some((new_capacity, new_threshold)) = self.geometry.grow_step(class, shard.capacity())
+        else {
             return false;
-        }
+        };
         if !shard.at_threshold() {
             // A concurrent free (or a finished grower) made room between
             // our denial and the lock: retry without spending a doubling.
             return true;
         }
-        let new_capacity = (capacity * 2).min(max);
-        let new_threshold = self.geometry.config().threshold_for(new_capacity).max(1);
         shard.grow_to(new_capacity, new_threshold);
         self.growths.fetch_add(1, Ordering::Relaxed);
         true
@@ -429,9 +423,9 @@ impl ShardedHeap {
     }
 
     /// Cumulative probe statistics summed across every shard:
-    /// `(allocations, total probes)` — the concurrent-stack counterpart of
-    /// [`crate::partition::Partition::probe_stats`], so §4.2's
-    /// E[probes] = 1/(1 − 1/M) claim is checkable on the lock-free heap too.
+    /// `(allocations, total probes)` from each
+    /// [`AtomicPartition::probe_stats`], so §4.2's E\[probes\] = 1/(1 − 1/M)
+    /// claim is checkable on the lock-free heap too.
     /// CAS-retry probes are counted exactly like occupied-slot probes (one
     /// draw = one probe). Exact totals once the threads touching the heap
     /// are joined.
@@ -470,8 +464,8 @@ mod tests {
     #[test]
     fn matches_facade_layout_for_same_seed() {
         // The facade and the sharded heap split the master seed the same
-        // way, so single-threaded histories coincide exactly — the
-        // lock-free claim wins first try whenever the locked try_set would.
+        // way, so single-threaded histories coincide exactly — the shared
+        // claim wins first try whenever the single-owner claim would.
         let sharded = heap(0xABCD);
         let mut facade = HeapCore::new(HeapConfig::default(), 0xABCD).unwrap();
         for req in [8usize, 8, 24, 100, 1000, 4000, 16_000, 8, 64] {
@@ -544,7 +538,7 @@ mod tests {
     /// at its `1/M` cap and four threads churning alloc/free pairs, the
     /// measured mean probes per allocation approaches 1/(1 − 1/M) = 2 for
     /// M = 2. CAS-retry probes count like any other failed probe, so the
-    /// statistic stays comparable to the locked-path runs.
+    /// statistic stays comparable to the single-owner runs.
     #[test]
     fn concurrent_probe_expectation_matches_paper() {
         const THREADS: usize = 4;

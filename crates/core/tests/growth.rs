@@ -7,9 +7,8 @@
 //! magazine refills. Run with `RUST_TEST_THREADS=8` in CI so the race
 //! tests overlap with each other as well as within themselves.
 
-use diehard_core::adaptive::{AdaptiveHeap, DEFAULT_INITIAL_FRACTION_LOG2};
-use diehard_core::config::HeapConfig;
-use diehard_core::engine::AllocOutcome;
+use diehard_core::config::{HeapConfig, DEFAULT_INITIAL_FRACTION_LOG2};
+use diehard_core::engine::{AllocOutcome, HeapCore};
 use diehard_core::magazine::MagazineHeap;
 use diehard_core::rng::Mwc;
 use diehard_core::sharded::ShardedHeap;
@@ -59,16 +58,17 @@ fn heap_started_at_one_64th_absorbs_max_capacity_workload() {
 }
 
 /// Single-threaded alloc-only histories are bit-identical across all three
-/// layers — locked adaptive, lock-free elastic sharded, and the elastic
-/// magazine stack — at the same seed and start fraction: growth triggers
-/// at the same pressure points in each and consumes no RNG draws.
+/// layers — the single-owner elastic core, lock-free elastic sharded, and
+/// the elastic magazine stack — at the same seed and start fraction: growth
+/// triggers at the same pressure points in each and consumes no RNG draws.
 #[test]
 fn single_threaded_histories_identical_across_layers() {
     let seed = 0xD17EC7;
     let sharded =
         ShardedHeap::new_elastic(HeapConfig::default(), seed, DEFAULT_INITIAL_FRACTION_LOG2)
             .unwrap();
-    let mut adaptive = AdaptiveHeap::new(HeapConfig::default(), seed).unwrap();
+    let mut core =
+        HeapCore::new_elastic(HeapConfig::default(), seed, DEFAULT_INITIAL_FRACTION_LOG2).unwrap();
     let mag = MagazineHeap::new_elastic(HeapConfig::default(), seed, DEFAULT_INITIAL_FRACTION_LOG2)
         .unwrap();
     let mut cache = mag.thread_cache();
@@ -76,13 +76,13 @@ fn single_threaded_histories_identical_across_layers() {
     for i in 0..4000usize {
         let size = 1 + rng.below(16 * 1024);
         let s = sharded.alloc(size);
-        assert_eq!(s, adaptive.alloc(size), "op {i} (size {size}): adaptive");
+        assert_eq!(s, core.alloc(size), "op {i} (size {size}): core");
         assert_eq!(s, cache.alloc(size), "op {i} (size {size}): magazine");
         if let Some(slot) = s {
-            assert_eq!(sharded.offset_of(slot), adaptive.offset_of(slot));
+            assert_eq!(sharded.offset_of(slot), core.offset_of(slot));
         }
     }
-    assert_eq!(sharded.growth_events(), adaptive.growth_events());
+    assert_eq!(sharded.growth_events(), core.growth_events());
     assert_eq!(sharded.growth_events(), mag.growth_events());
     assert!(
         sharded.growth_events() > 0,
@@ -90,23 +90,25 @@ fn single_threaded_histories_identical_across_layers() {
     );
 }
 
-/// Mixed alloc/free histories stay bit-identical between the adaptive and
-/// elastic sharded layers (both free immediately): every placement, every
-/// free outcome, and the growth count agree across 20k interleaved ops.
+/// Mixed alloc/free histories stay bit-identical between the elastic core
+/// and elastic sharded layers (both free immediately): every placement,
+/// every free outcome, and the growth count agree across 20k interleaved
+/// ops.
 #[test]
 fn mixed_history_identical_before_and_after_growth() {
     let seed = 0x6F0ED1;
     let sharded =
         ShardedHeap::new_elastic(HeapConfig::default(), seed, DEFAULT_INITIAL_FRACTION_LOG2)
             .unwrap();
-    let mut adaptive = AdaptiveHeap::new(HeapConfig::default(), seed).unwrap();
+    let mut core =
+        HeapCore::new_elastic(HeapConfig::default(), seed, DEFAULT_INITIAL_FRACTION_LOG2).unwrap();
     let mut rng = Mwc::seeded(seed);
     let mut live: Vec<usize> = Vec::new();
     for i in 0..20_000usize {
         if rng.below(3) < 2 || live.is_empty() {
             let size = 1 + rng.below(1024);
             let s = sharded.alloc(size);
-            assert_eq!(s, adaptive.alloc(size), "op {i}: placement diverged");
+            assert_eq!(s, core.alloc(size), "op {i}: placement diverged");
             if let Some(slot) = s {
                 live.push(sharded.offset_of(slot));
             }
@@ -114,12 +116,12 @@ fn mixed_history_identical_before_and_after_growth() {
             let off = live.swap_remove(rng.below(live.len()));
             assert_eq!(
                 sharded.free_at(off),
-                adaptive.free_at(off),
+                core.free_at(off),
                 "op {i}: free outcome diverged"
             );
         }
     }
-    assert_eq!(sharded.growth_events(), adaptive.growth_events());
+    assert_eq!(sharded.growth_events(), core.growth_events());
 }
 
 /// Elastic with fraction 0 *is* the fixed heap: initial == maximum, zero

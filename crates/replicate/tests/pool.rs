@@ -8,7 +8,9 @@
 //! committed bytes, the same full [`StreamOutcome`] (including the
 //! buffer-mode `peak_buffered` accounting, via
 //! `Session::adopt_buffer_input`), and the same per-replica seed
-//! assignment. This file pins that contract at three layers — the
+//! assignment. Over TCP, peak buffering depends on scheduling, so there it
+//! is held to the `(2 × replicas + 1) × chunk` bound rather than to
+//! equality. This file pins that contract at three layers — the
 //! `run_pooled` pipe transport against the golden equivalence corpus, the
 //! TCP proxy with `--pool 0` vs `--pool N`, and the `diehard` launcher
 //! binary end to end — plus the failure paths: an exhausted pool falls
@@ -273,16 +275,47 @@ fn proxy_transcripts_and_seeds_identical_pool_0_vs_pool_2() {
     assert_eq!(warm_summary.accepted, CONNS as u64);
     assert_eq!(warm_summary.diverged, cold_summary.diverged);
     // Sequential clients => completion order is accept order in both runs.
-    for (cold, warm) in cold_summary.reports.iter().zip(&warm_summary.reports) {
+    // Every deterministic outcome field must match exactly. Peak buffering
+    // on a socket depends on how replica output interleaves with the
+    // reactor's reads, so each run is held to the documented per-connection
+    // bound instead of to equality.
+    let bound = (2 * 3 + 1) * LaunchConfig::new(3, poisonable_server(), Vec::new()).chunk;
+    for (i, (cold, warm)) in cold_summary
+        .reports
+        .iter()
+        .zip(&warm_summary.reports)
+        .enumerate()
+    {
         assert_eq!(
             warm.seeds, cold.seeds,
             "replica seed assignment must not depend on pool depth"
         );
         assert_eq!(warm.seeds, vec![1, 7, 2]);
         assert_eq!(
-            warm.outcome, cold.outcome,
-            "per-connection outcomes must match"
+            warm.outcome.is_some(),
+            cold.outcome.is_some(),
+            "connection {i}: both runs must finish voting, or neither"
         );
+        let (Some(c), Some(w)) = (&cold.outcome, &warm.outcome) else {
+            continue;
+        };
+        assert_eq!(
+            (w.diverged, &w.killed, w.exit_code, w.committed),
+            (c.diverged, &c.killed, c.exit_code, c.committed),
+            "connection {i}: per-connection outcomes must match"
+        );
+        assert_eq!(
+            (&w.stderr, w.stderr_dropped),
+            (&c.stderr, c.stderr_dropped),
+            "connection {i}: voted stderr must match"
+        );
+        for (run, o) in [("cold", c), ("warm", w)] {
+            assert!(
+                o.peak_buffered <= bound,
+                "connection {i} ({run}): peak_buffered {} above the bound {bound}",
+                o.peak_buffered
+            );
+        }
     }
     // And the pool actually served warm sets (we waited for warmth before
     // the first connect, so at least that connection was a pool hit).

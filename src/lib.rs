@@ -7,18 +7,18 @@
 //!
 //! This facade re-exports the workspace crates:
 //!
-//! * [`core`](diehard_core) — the DieHard algorithm, analysis (Theorems
+//! * [`core`] — the DieHard algorithm, analysis (Theorems
 //!   1–3), and a real `#[global_allocator]`;
-//! * [`sim`](diehard_sim) — the simulated address space, DieHard-on-sim,
+//! * [`sim`] — the simulated address space, DieHard-on-sim,
 //!   and the infinite-heap oracle;
-//! * [`baselines`](diehard_baselines) — Lea/dlmalloc-style, BDW-GC-style,
+//! * [`baselines`] — Lea/dlmalloc-style, BDW-GC-style,
 //!   and Windows-style allocators;
-//! * [`runtime`](diehard_runtime) — the op-stream executor, Table 1 system
+//! * [`runtime`] — the op-stream executor, Table 1 system
 //!   emulators, in-process replication, heap differencing;
-//! * [`inject`](diehard_inject) — allocation tracing and fault injection;
-//! * [`workloads`](diehard_workloads) — the paper's benchmark suite as
+//! * [`inject`] — allocation tracing and fault injection;
+//! * [`workloads`] — the paper's benchmark suite as
 //!   deterministic allocation profiles, plus squid-sim;
-//! * [`replicate`](diehard_replicate) — subprocess replication (`diehard`
+//! * [`replicate`] — subprocess replication (`diehard`
 //!   launcher binary).
 //!
 //! ## Quick start
@@ -50,8 +50,7 @@ pub use diehard_workloads as workloads;
 /// The most commonly used types, importable in one line.
 pub mod prelude {
     pub use diehard_baselines::{BdwGcSim, LeaSimAllocator, WindowsSimAllocator};
-    pub use diehard_core::adaptive::AdaptiveHeap;
-    pub use diehard_core::config::{FillPolicy, HeapConfig};
+    pub use diehard_core::config::{FillPolicy, HeapConfig, DEFAULT_INITIAL_FRACTION_LOG2};
     pub use diehard_core::engine::{FreeOutcome, HeapCore, Slot};
     pub use diehard_core::rng::Mwc;
     pub use diehard_core::size_class::SizeClass;

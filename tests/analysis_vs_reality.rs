@@ -3,7 +3,7 @@
 //! seeds so the tests are deterministic.
 
 use diehard::core::analysis::{p_dangling_mask, p_overflow_mask, p_uninit_detect};
-use diehard::core::partition::Partition;
+use diehard::core::partition::AtomicPartition;
 use diehard::core::rng::splitmix;
 use diehard::prelude::*;
 
@@ -17,9 +17,9 @@ fn theorem1_matches_measurement() {
         let mut masked = 0;
         for _ in 0..TRIALS {
             let mut part =
-                Partition::new(SizeClass::from_index(0), CAP, CAP, splitmix(rng.next_u64()));
+                AtomicPartition::new(SizeClass::from_index(0), CAP, CAP, splitmix(rng.next_u64()));
             for _ in 0..(CAP as f64 * fullness) as usize {
-                part.alloc().unwrap();
+                part.alloc_mut().unwrap();
             }
             let start = rng.below(CAP - 1);
             if !part.is_live(start) {
@@ -44,16 +44,17 @@ fn theorem2_matches_measurement() {
     let mut rng = Mwc::seeded(0x7E02);
     let mut intact = 0;
     for _ in 0..TRIALS {
-        let mut part = Partition::new(SizeClass::from_index(0), CAP, CAP, splitmix(rng.next_u64()));
+        let mut part =
+            AtomicPartition::new(SizeClass::from_index(0), CAP, CAP, splitmix(rng.next_u64()));
         let mut live = Vec::new();
         for _ in 0..CAP / 2 {
-            live.push(part.alloc().unwrap());
+            live.push(part.alloc_mut().unwrap());
         }
         let victim = live[rng.below(live.len())];
-        part.free(victim);
+        part.free_mut(victim);
         let mut survived = true;
         for _ in 0..A {
-            if part.alloc() == Some(victim) {
+            if part.alloc_mut() == Some(victim) {
                 survived = false;
                 break;
             }
@@ -106,8 +107,8 @@ fn expected_separation_matches() {
     for m in [2.0f64, 4.0] {
         let cap = 8192;
         let threshold = (cap as f64 / m) as usize;
-        let mut part = Partition::new(SizeClass::from_index(0), cap, threshold, 0x5E9A);
-        while part.alloc().is_some() {}
+        let mut part = AtomicPartition::new(SizeClass::from_index(0), cap, threshold, 0x5E9A);
+        while part.alloc_mut().is_some() {}
         let gap = part.mean_live_gap().unwrap();
         let expect = m - 1.0;
         assert!(

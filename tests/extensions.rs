@@ -1,21 +1,21 @@
 //! Integration tests for the paper's extension features (§9) and for
-//! cross-cutting invariants: the adaptive heap under real workloads, the
+//! cross-cutting invariants: the elastic heap under real workloads, the
 //! M dial's monotone effect on protection, and bounded-strcpy end-to-end.
 
-use diehard::core::adaptive::AdaptiveHeap;
 use diehard::inject::{inject, Injection};
 use diehard::prelude::*;
 use diehard::workloads::profile_by_name;
 
-/// The adaptive heap (future work, §9) runs a real workload's allocation
-/// stream to completion, growing on demand, with a much smaller footprint.
+/// The elastic heap (the adaptive variant of future work, §9) runs a real
+/// workload's allocation stream to completion, growing on demand, with a
+/// much smaller footprint.
 #[test]
 fn adaptive_heap_serves_real_workloads_with_smaller_footprint() {
     // Small regions + a longer-lived profile so live data actually presses
     // against the initial 1/64 slot allotment.
     let config = HeapConfig::default().with_region_bytes(64 * 1024);
     let fixed_span = config.heap_span();
-    let mut heap = AdaptiveHeap::new(config, 5).unwrap();
+    let mut heap = HeapCore::new_elastic(config, 5, DEFAULT_INITIAL_FRACTION_LOG2).unwrap();
     let prog = profile_by_name("p2c").unwrap().generate(0.2, 3);
     let mut live: std::collections::HashMap<u32, usize> = Default::default();
     for op in &prog.ops {
