@@ -8,12 +8,16 @@
 //! cargo run --release -p diehard-bench --bin perf_report -- --smoke # CI
 //! cargo run ... --bin perf_report -- --out path/to/report.json
 //! cargo run ... --bin perf_report -- --gate alloc_churn_mixed=13.6
+//! cargo run ... --bin perf_report -- --gate-ratio preload_alloc_churn/libc_alloc_churn=4
 //! ```
 //!
 //! `--gate <kernel>=<max_ns>` (repeatable) bounds a kernel's measured mean:
 //! the process exits non-zero when the mean exceeds the bound, so CI can
-//! pin hot-path regressions by exit status. An unknown kernel name in a
-//! gate is itself an error — a typo must fail loudly, not pass silently.
+//! pin hot-path regressions by exit status. `--gate-ratio <a>/<b>=<max>`
+//! (repeatable) bounds the ratio of two kernels' fastest samples (`min_ns`)
+//! measured in the same run — a bound that holds across hosts, where the
+//! absolute ns of `--gate` do not. An unknown kernel name in a gate is
+//! itself an error — a typo must fail loudly, not pass silently.
 //!
 //! When the output path is a `BENCH_<pr>.json` trajectory entry, the report
 //! also diffs the fresh run against the highest-numbered earlier
@@ -31,7 +35,8 @@ use std::path::Path;
 fn main() {
     let smoke = diehard_bench::smoke();
     let out_path = out_arg().unwrap_or_else(|| "BENCH_10.json".to_string());
-    let gates = gate_args();
+    let gates = gate_args("--gate");
+    let ratio_gates = gate_args("--gate-ratio");
 
     let results = run_all(smoke);
     let json = render_json(&results);
@@ -89,6 +94,29 @@ fn main() {
             }
             None => {
                 eprintln!("perf_report: gate names unknown kernel: {kernel}");
+                gate_failed = true;
+            }
+        }
+    }
+    // Ratio gates: each --gate-ratio bounds a/b over the two min_ns.
+    let min_of = |name: &str| results.iter().find(|r| r.name == name).map(|r| r.min_ns);
+    for (expr, max) in &ratio_gates {
+        let Some((a, b)) = expr.split_once('/') else {
+            eprintln!("perf_report: malformed --gate-ratio {expr:?} (want <a>/<b>=<max>)");
+            std::process::exit(1);
+        };
+        match (min_of(a.trim()), min_of(b.trim())) {
+            (Some(a_ns), Some(b_ns)) => {
+                let ratio = a_ns / b_ns;
+                let ok = ratio <= *max;
+                println!(
+                    "ratio gate {}: {expr} min {a_ns:.2} / {b_ns:.2} = {ratio:.3} (bound {max})",
+                    if ok { "ok" } else { "FAILED" }
+                );
+                gate_failed |= !ok;
+            }
+            _ => {
+                eprintln!("perf_report: ratio gate names unknown kernel: {expr}");
                 gate_failed = true;
             }
         }
@@ -178,14 +206,14 @@ fn out_arg() -> Option<String> {
     None
 }
 
-/// All `--gate <kernel>=<max_ns>` bounds, in argument order. A malformed
-/// gate expression aborts immediately — mistyped CI gates must not pass by
-/// being unparseable.
-fn gate_args() -> Vec<(String, f64)> {
+/// All `<flag> <name>=<max>` bounds (`--gate`, `--gate-ratio`), in argument
+/// order. A malformed gate expression aborts immediately — mistyped CI
+/// gates must not pass by being unparseable.
+fn gate_args(flag: &str) -> Vec<(String, f64)> {
     let mut gates = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
-        if a != "--gate" {
+        if a != flag {
             continue;
         }
         let expr = args.next().unwrap_or_default();
@@ -197,7 +225,7 @@ fn gate_args() -> Vec<(String, f64)> {
                 gates.push((kernel.to_string(), max_ns));
             }
             _ => {
-                eprintln!("perf_report: malformed --gate {expr:?} (want <kernel>=<max_ns>)");
+                eprintln!("perf_report: malformed {flag} {expr:?} (want <name>=<max>)");
                 std::process::exit(1);
             }
         }

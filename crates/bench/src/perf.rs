@@ -33,6 +33,7 @@ pub const KERNELS: &[&str] = &[
     "alloc_churn_mixed",
     "magazine_alloc_churn",
     "preload_alloc_churn",
+    "libc_alloc_churn",
     "probe_steady_half_full",
     "fill_none",
     "fill_random",
@@ -227,10 +228,41 @@ fn preload_library() -> (
 /// The same churn ring once more, but through the `LD_PRELOAD`
 /// interposer's exported C ABI (`dlopen` + `dlsym`, see
 /// [`preload_library`]). The delta against `magazine_alloc_churn` is the
-/// interposition overhead itself: the re-entrancy guard, the arena range
-/// check, the `Layout` round-trip, and the indirect call.
+/// interposition overhead itself: one TLS lookup that covers both the
+/// re-entrancy guard and the thread's magazines, the arena range check, the
+/// `Layout` round-trip, and the indirect call. The ratio to
+/// `libc_alloc_churn`, measured in the same run, is the interposer's cost
+/// relative to the system allocator (§7's metric) on this host.
 #[cfg(unix)]
 fn preload_alloc_churn(smoke: bool) -> KernelResult {
+    let (c_malloc, c_free) = preload_library();
+    c_alloc_churn("preload_alloc_churn", smoke, c_malloc, c_free)
+}
+
+/// The reference for `preload_alloc_churn`: the same ring through this
+/// process's own `malloc`/`free` (glibc's, unless something is preloaded).
+#[cfg(unix)]
+fn libc_alloc_churn(smoke: bool) -> KernelResult {
+    extern "C" fn c_malloc(size: usize) -> *mut libc::c_void {
+        // SAFETY: plain C malloc; any size is a valid request.
+        unsafe { libc::malloc(size) }
+    }
+    extern "C" fn c_free(p: *mut libc::c_void) {
+        // SAFETY: `p` came from `c_malloc` above and is freed once.
+        unsafe { libc::free(p) }
+    }
+    c_alloc_churn("libc_alloc_churn", smoke, c_malloc, c_free)
+}
+
+/// The 64-slot mixed-size churn ring of `alloc_churn_mixed`, driven through
+/// a C `malloc`/`free` pair.
+#[cfg(unix)]
+fn c_alloc_churn(
+    name: &'static str,
+    smoke: bool,
+    c_malloc: extern "C" fn(usize) -> *mut libc::c_void,
+    c_free: extern "C" fn(*mut libc::c_void),
+) -> KernelResult {
     const RING: usize = 64;
     let (warmup, samples, ops) = if smoke {
         (1, 3, 2_000)
@@ -241,10 +273,9 @@ fn preload_alloc_churn(smoke: bool) -> KernelResult {
         let mut rng = Mwc::seeded(0xBEAC4);
         core::array::from_fn(|_| 8 + rng.below(2040))
     };
-    let (c_malloc, c_free) = preload_library();
     let mut ring: [*mut libc::c_void; RING] = [core::ptr::null_mut(); RING];
     let mut i = 0usize;
-    measure("preload_alloc_churn", warmup, samples, ops, move || {
+    let result = measure(name, warmup, samples, ops, || {
         for _ in 0..ops {
             let slot = i & (RING - 1);
             if !ring[slot].is_null() {
@@ -253,12 +284,21 @@ fn preload_alloc_churn(smoke: bool) -> KernelResult {
             ring[slot] = black_box(c_malloc(sizes[slot]));
             i += 1;
         }
-    })
+    });
+    ring.into_iter()
+        .filter(|p| !p.is_null())
+        .for_each(|p| c_free(p));
+    result
 }
 
 #[cfg(not(unix))]
 fn preload_alloc_churn(_smoke: bool) -> KernelResult {
     unreachable!("the preload kernel requires unix dlopen plumbing")
+}
+
+#[cfg(not(unix))]
+fn libc_alloc_churn(_smoke: bool) -> KernelResult {
+    unreachable!("the libc kernel requires the unix C allocator")
 }
 
 /// Steady-state partition probing at the paper's default occupancy (half
@@ -664,6 +704,7 @@ pub fn run_kernel(name: &str, smoke: bool) -> Option<KernelResult> {
         "alloc_churn_mixed" => Some(alloc_churn_mixed(smoke)),
         "magazine_alloc_churn" => Some(magazine_alloc_churn(smoke)),
         "preload_alloc_churn" => Some(preload_alloc_churn(smoke)),
+        "libc_alloc_churn" => Some(libc_alloc_churn(smoke)),
         "probe_steady_half_full" => Some(probe_steady_half_full(smoke)),
         "fill_none" => Some(fill_kernel("fill_none", FillPolicy::None, smoke)),
         "fill_random" => Some(fill_kernel("fill_random", FillPolicy::Random, smoke)),
@@ -767,6 +808,7 @@ mod tests {
         assert!(!missing.contains(&"alloc_churn_mixed"));
         assert!(missing.contains(&"magazine_alloc_churn"));
         assert!(missing.contains(&"preload_alloc_churn"));
+        assert!(missing.contains(&"libc_alloc_churn"));
         assert!(missing.contains(&"probe_steady_half_full"));
         assert!(missing.contains(&"fill_none"));
         assert!(missing.contains(&"fill_random"));

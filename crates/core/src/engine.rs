@@ -163,19 +163,19 @@ impl AtomicHeapStats {
         self.ignored_frees.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Counts `n` successful frees in one atomic add — used by the magazine
-    /// layer, whose free buffer releases a whole batch under one shard-lock
-    /// acquisition and should pay one counter RMW for it, not `n`.
-    pub fn record_frees(&self, n: u64) {
-        if n > 0 {
-            self.frees.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Counts `n` ignored (double/invalid) frees in one atomic add.
-    pub fn record_ignored_frees(&self, n: u64) {
-        if n > 0 {
-            self.ignored_frees.fetch_add(n, Ordering::Relaxed);
+    /// Adds a batch of counts gathered elsewhere — the magazine layer's
+    /// per-thread plain counters — paying one atomic add per nonzero
+    /// counter instead of one per operation.
+    pub fn fold(&self, delta: HeapStats) {
+        for (counter, n) in [
+            (&self.allocs, delta.allocs),
+            (&self.frees, delta.frees),
+            (&self.ignored_frees, delta.ignored_frees),
+            (&self.exhausted, delta.exhausted),
+        ] {
+            if n > 0 {
+                counter.fetch_add(n, Ordering::Relaxed);
+            }
         }
     }
 

@@ -20,10 +20,10 @@
 //! initialization, the header (heap base, page size, configuration) is read
 //! without synchronization, and small-object `alloc`/`free` run entirely on
 //! atomics — a probe/CAS loop over the class's paired slot-state map, with
-//! a ticket counter enforcing the `1/M` cap. Each size class keeps one
-//! *maintenance* `SpinLock` for batch work only (magazine refills, free
-//! flushes, reservation teardown); the large-object validity tables have a
-//! separate lock of their own.
+//! a ticket counter enforcing the `1/M` cap; magazine refills and free
+//! flushes are lock-free batches of the same atomics. Each size class keeps
+//! one *maintenance* `SpinLock` for growth, reservation teardown and `fork`;
+//! the large-object validity tables have a separate lock of their own.
 //!
 //! Environment knobs (read once, at first allocation; ignored when the
 //! allocator was built with [`DieHard::with_config`]):
@@ -68,11 +68,15 @@
 //!   out on overshoot, and the per-class RNG packs its whole state in one
 //!   `AtomicU64` CAS ([`AtomicMwc`](crate::rng::AtomicMwc)) — no torn draws.
 //!   The surviving locks are slow-path only: one maintenance `SpinLock` per
-//!   class serializing *batches* (refill, flush, teardown) against each
-//!   other — never taken by per-op traffic — plus the large-object table
-//!   lock. No operation ever takes two locks at once; a free resolves its
+//!   class, taken to double an elastic class (two stores that must not
+//!   race another grower), to return a cache's reservations, and by
+//!   `fork_prepare`, so a child never inherits a half-done growth; plus the
+//!   large-object table lock and the TLS registry lock. Per-op traffic,
+//!   refills and flushes take none. No operation ever takes two locks at
+//!   once, except `fork_prepare` in its fixed order; a free resolves its
 //!   address with pure arithmetic *before* touching any shared state.
-//!   Heap-wide statistics are relaxed atomics and take no lock at all.
+//!   Heap-wide statistics are relaxed atomics, folded from per-thread
+//!   counts at refills and flushes, and take no lock at all.
 //! * **Raw-pointer state.** `GlobalState` owns raw `mmap` regions; its
 //!   `unsafe impl Send + Sync` is sound because `heap_base`/`page` are
 //!   written once before the `OnceCell` publishes (Release/Acquire) and
@@ -102,7 +106,8 @@
 //!   registry pins its interior address); statics never move, and test
 //!   instances move only while uninitialized.
 //! * **Per-op traffic never spins.** An uncached `alloc` or `free` — and a
-//!   magazine handout — completes without acquiring any lock: a thread
+//!   magazine handout, refill or flush — completes without acquiring any
+//!   lock (an elastic refill at the cap locks only to grow): a thread
 //!   preempted mid-operation cannot wedge another thread's allocation, which
 //!   the old shard-`SpinLock` design could not promise. The reserved/live
 //!   state machine (free → reserved → live → free, one paired-bit cell per
@@ -337,14 +342,18 @@ impl DieHard {
 
     /// C-style free: validates `ptr` exactly like `DieHardFree` (§4.3) and
     /// *ignores* invalid, double, and foreign frees.
+    #[inline]
     pub fn free(&self, ptr: *mut u8) {
-        if ptr.is_null() {
-            return;
-        }
-        let Some(state) = self.state.get() else {
-            return;
-        };
-        Self::release(state, ptr);
+        tls::BLOCK.with(|block| ThreadHeap { heap: self, block }.free(ptr));
+    }
+
+    /// The entry for an interposer that can be re-entered (`libdiehard.so`):
+    /// runs `f` with this thread's in-allocator flag raised, or with `None`
+    /// when it was already up (a re-entrant call, to be served elsewhere).
+    /// Flag and magazines share one TLS block: one lookup per call in all.
+    #[inline]
+    pub fn guarded<R>(&self, f: impl FnOnce(Option<ThreadHeap<'_>>) -> R) -> R {
+        tls::guarded(|block| f(block.map(|block| ThreadHeap { heap: self, block })))
     }
 
     /// DieHard's bounded `strcpy` (§4.4): copies the NUL-terminated string
@@ -564,6 +573,7 @@ impl DieHard {
 
     /// The initialized state, running the one-time initialization on first
     /// call. `None` means initialization failed (terminally).
+    #[inline]
     fn state(&self) -> Option<&GlobalState> {
         self.state.get_or_try_init(|| self.build_state())
     }
@@ -571,6 +581,7 @@ impl DieHard {
     /// The one-time initialization: choose a configuration and seed, map the
     /// metadata arena and the heap span, and assemble the sharded heap plus
     /// large-object tables. Runs on exactly one thread.
+    #[cold]
     fn build_state(&self) -> Option<GlobalState> {
         let config = match &self.fixed_config {
             Some(config) => config.clone(),
@@ -667,6 +678,7 @@ impl DieHard {
     /// registers the (now pinned) state in the TLS registry; a full
     /// registry disables magazines for this heap, which then runs through
     /// the uncached sharded path.
+    #[inline]
     fn magazines_on(state: &GlobalState) -> bool {
         match state.mag_state.load(Ordering::Acquire) {
             MAG_ON => true,
@@ -704,39 +716,8 @@ impl DieHard {
         safe_str::space_in_object(state.heap.geometry(), addr - base)
     }
 
-    fn release(state: &GlobalState, ptr: *mut u8) {
-        let base = state.heap_base as usize;
-        let addr = ptr as usize;
-        if addr >= base && addr < base + state.heap.heap_span() {
-            // Small object: full §4.3 validation. The span/alignment half is
-            // lock-free arithmetic either way; with magazines engaged the
-            // free is buffered in this thread's cache and released to its
-            // shard in a batch.
-            if Self::magazines_on(state) {
-                tls::with_cache(state, |mags, state| {
-                    let _ = mags.free_at(&state.heap, addr - base);
-                });
-            } else {
-                let _ = state.heap.free_at(addr - base);
-            }
-            return;
-        }
-        // Possibly a large object: consult the validity tables; unknown
-        // addresses are ignored ("otherwise, it ignores the request").
-        let (map_base, total) = {
-            let mut large = state.large.lock();
-            let Some(total) = large.len.remove(addr) else {
-                return;
-            };
-            let map_base = large.base.remove(addr).expect("large tables out of sync");
-            (map_base, total)
-        };
-        // SAFETY: we recorded (map_base, total) when mapping this object and
-        // it has not been released since (the table entry was live); the
-        // lock is already dropped, so the syscall never runs under it.
-        unsafe { sys::unmap(map_base as *mut u8, total) };
-    }
-
+    #[cold]
+    #[inline(never)]
     fn alloc_large(state: &GlobalState, size: usize, align: usize) -> *mut u8 {
         let page = state.page;
         let user_len = (size + page - 1) & !(page - 1);
@@ -822,46 +803,103 @@ impl Drop for DieHard {
 // per-shard bitmap no-overlap invariant), and dealloc releases exactly what
 // alloc returned.
 unsafe impl GlobalAlloc for DieHard {
+    #[inline]
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let Some(state) = self.state() else {
+        tls::BLOCK.with(|block| ThreadHeap { heap: self, block }.alloc(layout))
+    }
+
+    #[inline]
+    unsafe fn dealloc(&self, ptr: *mut u8, _layout: Layout) {
+        self.free(ptr);
+    }
+}
+
+/// A [`DieHard`] heap as seen from the calling thread: what
+/// [`DieHard::guarded`] hands an interposer, and what every [`GlobalAlloc`]
+/// call runs on. It carries this thread's TLS block, so the magazines are
+/// reached without a second thread-local lookup.
+#[derive(Debug, Clone, Copy)]
+pub struct ThreadHeap<'a> {
+    heap: &'a DieHard,
+    block: &'a tls::TlsBlock,
+}
+
+impl ThreadHeap<'_> {
+    /// [`GlobalAlloc::alloc`] on this thread's view of the heap (a
+    /// zero-size layout gets a one-byte object).
+    #[inline]
+    pub fn alloc(self, layout: Layout) -> *mut u8 {
+        let Some(state) = self.heap.state() else {
             return ptr::null_mut();
         };
         // Slots are naturally aligned to their (power-of-two) class size, so
         // serving max(size, align) satisfies any alignment request.
         let need = layout.size().max(layout.align()).max(1);
-        if need <= crate::size_class::MAX_OBJECT_SIZE {
-            // Fast path: pop a pre-reserved random slot from this thread's
-            // magazine (no lock); refills batch the shard lock.
-            let outcome = if Self::magazines_on(state) {
-                tls::with_cache(state, |mags, state| mags.try_alloc(&state.heap, need))
-            } else {
-                state.heap.try_alloc(need)
-            };
-            match outcome {
-                AllocOutcome::Placed(slot) => {
-                    let off = state.heap.offset_of(slot);
-                    // SAFETY: `off` lies within the reserved heap span.
-                    unsafe { state.heap_base.add(off) }
-                }
-                // An elastic class denied at its *maximum* capacity spills
-                // to a dedicated guard-paged mapping rather than failing:
-                // the pointer frees through the same large-object table an
-                // oversized request would use.
-                AllocOutcome::Spill if state.elastic => {
-                    Self::alloc_large(state, layout.size().max(1), layout.align())
-                }
-                AllocOutcome::Spill | AllocOutcome::Unsupported => ptr::null_mut(),
-            }
+        if need > crate::size_class::MAX_OBJECT_SIZE {
+            return DieHard::alloc_large(state, layout.size().max(1), layout.align());
+        }
+        // Fast path: pop a pre-reserved random slot from this thread's
+        // magazine (one commit RMW, no lock); refills are lock-free batches.
+        let outcome = if DieHard::magazines_on(state) {
+            tls::with_cache(self.block, state, |mags, state| {
+                mags.try_alloc(&state.heap, need)
+            })
         } else {
-            Self::alloc_large(state, layout.size(), layout.align())
+            state.heap.try_alloc(need)
+        };
+        match outcome {
+            AllocOutcome::Placed(slot) => {
+                let off = state.heap.offset_of(slot);
+                // SAFETY: `off` lies within the reserved heap span.
+                unsafe { state.heap_base.add(off) }
+            }
+            // An elastic class denied at its *maximum* capacity spills to a
+            // dedicated guard-paged mapping rather than failing: the pointer
+            // frees through the same large-object table an oversized request
+            // would use.
+            AllocOutcome::Spill if state.elastic => {
+                DieHard::alloc_large(state, layout.size().max(1), layout.align())
+            }
+            AllocOutcome::Spill | AllocOutcome::Unsupported => ptr::null_mut(),
         }
     }
 
-    unsafe fn dealloc(&self, ptr: *mut u8, _layout: Layout) {
-        let Some(state) = self.state.get() else {
+    /// [`DieHard::free`] on this thread's view of the heap.
+    #[inline]
+    pub fn free(self, ptr: *mut u8) {
+        let Some(state) = self.heap.state.get().filter(|_| !ptr.is_null()) else {
             return;
         };
-        Self::release(state, ptr);
+        let base = state.heap_base as usize;
+        let addr = ptr as usize;
+        if addr >= base && addr < base + state.heap.heap_span() {
+            // Small object: full §4.3 validation. The span/alignment half is
+            // lock-free arithmetic either way; with magazines engaged the
+            // free is buffered in this thread's cache and released to its
+            // shard in a batch.
+            if DieHard::magazines_on(state) {
+                tls::with_cache(self.block, state, |mags, state| {
+                    let _ = mags.free_at(&state.heap, addr - base);
+                });
+            } else {
+                let _ = state.heap.free_at(addr - base);
+            }
+            return;
+        }
+        // Possibly a large object: consult the validity tables; unknown
+        // addresses are ignored ("otherwise, it ignores the request").
+        let (map_base, total) = {
+            let mut large = state.large.lock();
+            let Some(total) = large.len.remove(addr) else {
+                return;
+            };
+            let map_base = large.base.remove(addr).expect("large tables out of sync");
+            (map_base, total)
+        };
+        // SAFETY: we recorded (map_base, total) when mapping this object and
+        // it has not been released since (the table entry was live); the
+        // lock is already dropped, so the syscall never runs under it.
+        unsafe { sys::unmap(map_base as *mut u8, total) };
     }
 }
 

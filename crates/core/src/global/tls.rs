@@ -146,42 +146,60 @@ impl Registry {
 }
 
 /// The per-thread block: plain data, `const`-initialized, `!needs_drop` —
-/// see the module docs for why all three properties are load-bearing.
-struct TlsBlock {
+/// see the module docs for why all three properties are load-bearing. It is
+/// `!Sync` (it holds `Cell`s), so a `&TlsBlock` never leaves its thread.
+#[derive(Debug)]
+pub(super) struct TlsBlock {
     /// Id of the heap the magazines are bound to; 0 = unbound.
     bound: Cell<u64>,
     /// Whether this thread's pointer is stored in [`EXIT_KEY`].
     exit_hooked: Cell<bool>,
+    /// The re-entrancy flag [`guarded`] raises; beside the magazines, so a
+    /// shared library pays one `__tls_get_addr` for both.
+    busy: Cell<bool>,
     mags: UnsafeCell<ThreadMagazines>,
 }
 
 thread_local! {
-    static BLOCK: TlsBlock = const {
+    pub(super) static BLOCK: TlsBlock = const {
         TlsBlock {
             bound: Cell::new(0),
             exit_hooked: Cell::new(false),
+            busy: Cell::new(false),
             mags: UnsafeCell::new(ThreadMagazines::new()),
         }
     };
 }
 
-/// Runs `f` on this thread's magazines, bound to `state`'s heap — rebinding
+/// Runs `f` on this thread's block with its in-allocator flag raised;
+/// `None` when the flag was already up (a re-entrant call).
+#[inline]
+pub(super) fn guarded<R>(f: impl FnOnce(Option<&TlsBlock>) -> R) -> R {
+    BLOCK.with(|block| {
+        let reentered = block.busy.replace(true);
+        let r = f((!reentered).then_some(block));
+        block.busy.set(reentered);
+        r
+    })
+}
+
+/// Runs `f` on `block`'s magazines, bound to `state`'s heap — rebinding
 /// (flush old heap via the registry, or discard if it is gone) when the
 /// thread last touched a different heap.
+#[inline]
 pub(super) fn with_cache<R>(
+    block: &TlsBlock,
     state: &GlobalState,
     f: impl FnOnce(&mut ThreadMagazines, &GlobalState) -> R,
 ) -> R {
-    BLOCK.with(|block| {
-        if block.bound.get() != state.id {
-            rebind(block, state);
-        }
-        // SAFETY: the block is thread-local and `with_cache` is never
-        // re-entered while `f` runs — magazine operations neither allocate
-        // nor call back into the allocator.
-        let mags = unsafe { &mut *block.mags.get() };
-        f(mags, state)
-    })
+    if block.bound.get() != state.id {
+        rebind(block, state);
+    }
+    // SAFETY: a `&TlsBlock` is always the calling thread's own block, and
+    // `with_cache` is never re-entered while `f` runs — magazine operations
+    // neither allocate nor call back into the allocator.
+    let mags = unsafe { &mut *block.mags.get() };
+    f(mags, state)
 }
 
 /// Flushes this thread's magazines into `state`'s heap if they are bound to

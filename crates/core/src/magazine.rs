@@ -16,13 +16,13 @@
 //!
 //! * **Uniform placement.** A refill does not carve a deterministic run of
 //!   slots; it samples `K` slots by running the partition's own MWC probe
-//!   loop ([`crate::partition::AtomicPartition::reserve_batch`]) under a single
-//!   acquisition of the class's *maintenance* lock. Each reserved slot is
-//!   therefore a uniform draw over the free slots, from the same per-class
-//!   RNG stream the uncached heap would have used — for one thread
-//!   performing only allocations, the magazine-served sequence is
-//!   *bit-identical* to [`ShardedHeap`]'s for the same master seed (handout
-//!   is FIFO in draw order).
+//!   loop ([`crate::partition::AtomicPartition::reserve_batch`]), lock-free.
+//!   Each reserved slot is therefore a uniform draw over the free slots,
+//!   from the same per-class RNG stream the uncached heap would have used —
+//!   for one thread performing only allocations, the magazine-served
+//!   sequence is *bit-identical* to [`ShardedHeap`]'s for the same master
+//!   seed (handout is FIFO in draw order). Concurrent refills interleave
+//!   that stream like concurrent uncached allocations do.
 //! * **The `1/M` occupancy cap.** Reserved slots take a regular ticket
 //!   against the partition's `inUse`, so the threshold check bounds
 //!   *live + reserved* — strictly conservative: the truly live fraction is
@@ -47,7 +47,7 @@
 //! encoding every transition is one atomic on one word:
 //!
 //! * free→reserved (`00 → 11`): a CAS inside [`AtomicPartition::reserve_batch`]
-//!   during refill, under the class maintenance lock;
+//!   during refill;
 //! * reserved→live (`11 → 01`): one lock-free `fetch_and` on the owning
 //!   thread (the handout — the fast path the whole layer exists for);
 //! * live→free (`01 → 00`): one CAS, from the lock-free `free_at` or a
@@ -56,15 +56,23 @@
 //!
 //! # Accounting
 //!
-//! [`crate::engine::AtomicHeapStats`] stays exact: a handout records one
-//! alloc (the moment the application actually receives memory), a refill
-//! that returns empty records one exhaustion per denied request, and a
-//! free-buffer flush records its batch of frees/ignored-frees as two atomic
-//! adds. Probe accounting is unchanged by batching: `reserve_batch` counts
-//! draws exactly like `alloc`, so §4.2's E\[probes\] statistics aggregate
-//! refill and direct traffic identically. Thread exit (guard drop) flushes
-//! buffered frees and returns every unhanded reservation to its shard —
-//! zero leaked reservations, no spurious stats.
+//! [`crate::engine::AtomicHeapStats`] stays exact, in batches: a
+//! [`ThreadMagazines`] counts handouts (the moment the application receives
+//! memory), frees, ignored frees and exhaustions in plain per-thread
+//! counters and folds them into the heap's atomics at each refill, each
+//! free-buffer flush and each [`ThreadMagazines::flush`] or
+//! [`ThreadMagazines::fold_stats`], so a magazine hit pays one atomic (the
+//! commit) and no telemetry RMW. Probe accounting is unchanged by batching:
+//! `reserve_batch` counts draws exactly like `alloc`, so §4.2's
+//! E\[probes\] statistics aggregate refill and direct traffic identically.
+//! Thread exit (guard drop) flushes buffered frees, returns every unhanded
+//! reservation to its shard and folds the counters — zero leaked
+//! reservations, no spurious stats.
+//!
+//! Refills and free-buffer flushes take no lock: the slot-state map's
+//! atomics keep them correct against any concurrent operation. The class
+//! maintenance lock is taken only to grow an elastic class at its cap and
+//! to return a cache's reservations.
 
 use crate::config::{ConfigError, HeapConfig, HeapGeometry};
 use crate::engine::{
@@ -77,9 +85,9 @@ use crate::size_class::{SizeClass, NUM_CLASSES};
 /// Maximum slots a per-class magazine holds between refills.
 pub const MAG_SLOTS: usize = 8;
 
-/// Free-buffer capacity per class; a full buffer forces a flush, a
-/// half-full one flushes opportunistically (`try_lock`).
-pub const FREE_SLOTS: usize = 16;
+/// Free-buffer capacity per class; the free that fills the buffer flushes
+/// it.
+pub const FREE_SLOTS: usize = 8;
 
 /// Refill batch size for a partition with the given `1/M` threshold: small
 /// regions reserve less so a handful of threads cannot park the entire
@@ -135,9 +143,9 @@ impl MagazineHeap {
     /// As [`new`](Self::new), but elastic: each class starts at
     /// `1 / 2^initial_fraction_log2` of its maximum capacity and doubles
     /// under `1/M`-cap pressure (see [`ShardedHeap::new_elastic`]). Refills
-    /// participate in growth: an at-cap refill grows the class under the
-    /// maintenance lock it already holds, and only a denial at the maximum
-    /// capacity surfaces as [`AllocOutcome::Spill`].
+    /// participate in growth: an at-cap refill takes the class maintenance
+    /// lock to grow the class, and only a denial at the maximum capacity
+    /// surfaces as [`AllocOutcome::Spill`].
     ///
     /// # Errors
     ///
@@ -224,8 +232,9 @@ impl MagazineHeap {
         self.heap.geometry()
     }
 
-    /// Counters since construction (lock-free snapshot). Frees sitting in a
-    /// thread's buffer are counted when that buffer flushes.
+    /// Counters since construction (lock-free snapshot). A thread's cached
+    /// handouts, like its frees, count here from its next refill or flush
+    /// (or [`MagazineCache::fold_stats`]).
     #[must_use]
     pub fn stats(&self) -> HeapStats {
         self.heap.stats()
@@ -359,86 +368,9 @@ impl MagazineHeap {
 
     // ---- cache back end --------------------------------------------------
 
-    /// Refills `out` with up to one batch of reserved slots for `class`,
-    /// drawn by the partition's own probe loop under one acquisition of the
-    /// class **maintenance** lock (the slow path — per-op traffic never
-    /// waits on it; the lock only serializes refills against flushes and
-    /// teardowns so batches do not interleave draws). Returns the number of
-    /// slots reserved (0 when at the `1/M` cap).
-    /// On an elastic heap an at-cap refill grows the class before giving
-    /// up. `grow_class_locked` is called directly because this thread
-    /// already holds the maintenance lock — re-entering through the public
-    /// grow path would deadlock on the non-reentrant `SpinLock`. A `0` here
-    /// therefore means the class is at its *maximum* capacity and full: the
-    /// caller's denial is a genuine spill, not growth pressure.
-    fn refill(&self, class: SizeClass, out: &mut [usize; MAG_SLOTS]) -> usize {
-        let shard = self.heap.shard(class);
-        let _batch = self.heap.maintenance_lock(class).lock();
-        loop {
-            let want = refill_batch(shard.threshold());
-            let got = shard.reserve_batch(&mut out[..want]);
-            if got > 0 || !self.heap.grow_class_locked(class) {
-                return got;
-            }
-        }
-    }
-
-    /// The lock-free reserved→live handout transition: one `fetch_and` in
-    /// the slot-state map plus the alloc counter.
-    #[inline]
-    fn commit(&self, class: SizeClass, index: usize) {
-        self.heap.shard(class).commit(index);
-        self.heap.stats_ref().record_alloc();
-    }
-
-    /// Releases a batch of buffered frees for `class` under one maintenance
-    /// lock acquisition. With `force` false the flush is opportunistic: a
-    /// contended lock leaves the buffer untouched. (Each individual free is
-    /// itself a lock-free CAS — the lock only keeps maintenance batches
-    /// from interleaving.)
-    fn flush_frees(&self, class: SizeClass, frees: &mut [usize; FREE_SLOTS], len: &mut usize) {
-        self.flush_frees_inner(class, frees, len, true);
-    }
-
-    fn try_flush_frees(&self, class: SizeClass, frees: &mut [usize; FREE_SLOTS], len: &mut usize) {
-        self.flush_frees_inner(class, frees, len, false);
-    }
-
-    fn flush_frees_inner(
-        &self,
-        class: SizeClass,
-        frees: &mut [usize; FREE_SLOTS],
-        len: &mut usize,
-        force: bool,
-    ) {
-        if *len == 0 {
-            return;
-        }
-        let lock = self.heap.maintenance_lock(class);
-        let guard = if force {
-            lock.lock()
-        } else {
-            match lock.try_lock() {
-                Some(guard) => guard,
-                None => return,
-            }
-        };
-        // The paired slot map resolves all three cases per slot in one CAS:
-        // a live slot is freed; a free slot (double/invalid free) and a
-        // reserved slot (an address the application never received — which
-        // must not release a reservation another magazine holds) are both
-        // ignored. The ticket return is one batched decrement.
-        let (freed, ignored) = self.heap.shard(class).free_batch(&frees[..*len]);
-        drop(guard);
-        *len = 0;
-        let stats = self.heap.stats_ref();
-        stats.record_frees(freed);
-        stats.record_ignored_frees(ignored);
-    }
-
     /// Returns unhanded reservations to their shard (no stats: they were
-    /// never allocations). Holds the maintenance lock so teardown cannot
-    /// interleave with a racing refill's batch.
+    /// never allocations). Holds the maintenance lock, so `fork(2)`
+    /// preparation never catches a teardown half done.
     fn return_reservations(&self, class: SizeClass, slots: &[usize]) {
         if slots.is_empty() {
             return;
@@ -499,6 +431,8 @@ impl ClassCache {
 #[derive(Debug)]
 pub struct ThreadMagazines {
     classes: [ClassCache; NUM_CLASSES],
+    /// Counts not yet folded into the heap's stats (see the module docs).
+    pending: HeapStats,
 }
 
 impl ThreadMagazines {
@@ -507,20 +441,19 @@ impl ThreadMagazines {
     pub const fn new() -> Self {
         Self {
             classes: [ClassCache::EMPTY; NUM_CLASSES],
+            pending: HeapStats {
+                allocs: 0,
+                frees: 0,
+                ignored_frees: 0,
+                exhausted: 0,
+            },
         }
     }
 
-    /// `true` when no reservations are held and no frees are buffered.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.classes.iter().all(|c| c.len == 0 && c.flen == 0)
-    }
-
     /// Allocates `size` bytes through this thread's magazine, refilling from
-    /// `heap` (one shard-lock acquisition per batch) when empty. Returns
-    /// `None` for zero/oversized requests or when the class is at its `1/M`
-    /// cap — each denied request records one exhaustion, like the uncached
-    /// path.
+    /// `heap` when empty. Returns `None` for zero/oversized requests or when
+    /// the class is at its `1/M` cap — each denied request records one
+    /// exhaustion, like the uncached path.
     pub fn alloc(&mut self, heap: &MagazineHeap, size: usize) -> Option<Slot> {
         self.try_alloc(heap, size).placed()
     }
@@ -531,39 +464,61 @@ impl ThreadMagazines {
     /// is [`AllocOutcome::Spill`]. On an elastic heap the refill has already
     /// grown the class to its maximum before reporting empty, so `Spill`
     /// always means "the `1/M` cap at full size", exactly like the uncached
-    /// [`MagazineHeap::try_alloc`].
+    /// [`MagazineHeap::try_alloc`]. A hit is one `fetch_and` (the
+    /// reserved→live commit) and no other atomic.
+    #[inline]
     pub fn try_alloc(&mut self, heap: &MagazineHeap, size: usize) -> AllocOutcome {
         let Some(class) = SizeClass::for_size(size) else {
             return AllocOutcome::Unsupported;
         };
-        let cache = &mut self.classes[class.index()];
-        if cache.len == 0 {
-            let drawn = heap.refill(class, &mut cache.mag);
-            if drawn == 0 {
-                heap.heap.stats_ref().record_exhausted();
-                return AllocOutcome::Spill;
-            }
-            cache.head = 0;
-            cache.len = drawn;
+        if self.classes[class.index()].len == 0 && !self.refill(heap, class) {
+            return AllocOutcome::Spill;
         }
+        let cache = &mut self.classes[class.index()];
         let index = cache.mag[cache.head];
         cache.head += 1;
         cache.len -= 1;
-        heap.commit(class, index);
+        heap.heap.shard(class).commit(index);
+        self.pending.allocs += 1;
         AllocOutcome::Placed(Slot { class, index })
+    }
+
+    /// Refills `class`'s empty magazine with up to one batch of slots from
+    /// the partition's own probe loop, lock-free (an at-cap elastic refill
+    /// locks only to grow), then folds the pending counters. `false` means
+    /// the class is full at its *maximum* capacity: a spill, one exhaustion.
+    #[cold]
+    #[inline(never)]
+    fn refill(&mut self, heap: &MagazineHeap, class: SizeClass) -> bool {
+        let shard = heap.heap.shard(class);
+        let cache = &mut self.classes[class.index()];
+        let drawn = loop {
+            let want = refill_batch(shard.threshold());
+            let got = shard.reserve_batch(&mut cache.mag[..want]);
+            if got > 0 || !heap.heap.grow_class(class) {
+                break got;
+            }
+        };
+        cache.head = 0;
+        cache.len = drawn;
+        if drawn == 0 {
+            self.pending.exhausted += 1;
+        }
+        self.fold_stats(heap);
+        drawn > 0
     }
 
     /// Frees the object at `offset` through this thread's buffer. The
     /// lock-free [`locate_free`] arithmetic rejects out-of-span and
     /// misaligned offsets immediately; plausible slots are buffered per
-    /// class and released in batches (opportunistically at half capacity,
-    /// forced at full capacity).
+    /// class, and the free that fills a buffer releases the whole batch.
+    #[inline]
     pub fn free_at(&mut self, heap: &MagazineHeap, offset: usize) -> CachedFree {
         let slot = match locate_free(heap.geometry(), offset) {
             Ok(slot) => slot,
             Err(outcome) => {
                 if outcome == FreeOutcome::MisalignedOffset {
-                    heap.heap.stats_ref().record_ignored_free();
+                    self.pending.ignored_frees += 1;
                 }
                 return CachedFree::Rejected(outcome);
             }
@@ -572,25 +527,53 @@ impl ThreadMagazines {
         cache.frees[cache.flen] = slot.index;
         cache.flen += 1;
         if cache.flen == FREE_SLOTS {
-            heap.flush_frees(slot.class, &mut cache.frees, &mut cache.flen);
-        } else if cache.flen >= FREE_SLOTS / 2 {
-            heap.try_flush_frees(slot.class, &mut cache.frees, &mut cache.flen);
+            self.flush_frees(heap, slot.class);
         }
         CachedFree::Buffered
     }
 
-    /// Flushes everything: buffered frees are released (stats recorded) and
-    /// unhanded reservations are returned to their shards (no stats). The
-    /// thread-exit path.
+    /// Releases `class`'s buffered frees and folds the pending counters,
+    /// lock-free: one validating CAS per slot frees a live slot and ignores
+    /// a free one (double/invalid free) or a reserved one (never handed out,
+    /// so it must not release another magazine's reservation); the tickets
+    /// go back in one decrement.
+    #[cold]
+    #[inline(never)]
+    fn flush_frees(&mut self, heap: &MagazineHeap, class: SizeClass) {
+        let cache = &mut self.classes[class.index()];
+        let (freed, ignored) = heap
+            .heap
+            .shard(class)
+            .free_batch(&cache.frees[..cache.flen]);
+        cache.flen = 0;
+        self.pending.frees += freed;
+        self.pending.ignored_frees += ignored;
+        self.fold_stats(heap);
+    }
+
+    /// Publishes this thread's pending handout/free counters to `heap`'s
+    /// statistics without touching its reservations or buffered frees.
+    pub fn fold_stats(&mut self, heap: &MagazineHeap) {
+        heap.heap
+            .stats_ref()
+            .fold(core::mem::take(&mut self.pending));
+    }
+
+    /// Flushes everything: buffered frees are released, unhanded
+    /// reservations are returned to their shards (no stats) and the pending
+    /// counters are folded. The thread-exit path.
     pub fn flush(&mut self, heap: &MagazineHeap) {
-        for (i, cache) in self.classes.iter_mut().enumerate() {
+        for i in 0..NUM_CLASSES {
             let class = SizeClass::from_index(i);
-            heap.flush_frees(class, &mut cache.frees, &mut cache.flen);
-            let held = &cache.mag[cache.head..cache.head + cache.len];
-            heap.return_reservations(class, held);
+            if self.classes[i].flen > 0 {
+                self.flush_frees(heap, class);
+            }
+            let cache = &mut self.classes[i];
+            heap.return_reservations(class, &cache.mag[cache.head..cache.head + cache.len]);
             cache.head = 0;
             cache.len = 0;
         }
+        self.fold_stats(heap);
     }
 
     /// Drops all cached state without touching any heap. Only for the case
@@ -598,7 +581,7 @@ impl ThreadMagazines {
     /// rebinding after a heap was dropped); on a live heap this would leak
     /// reservations — use [`flush`](Self::flush).
     pub fn discard(&mut self) {
-        self.classes = [ClassCache::EMPTY; NUM_CLASSES];
+        *self = Self::new();
     }
 }
 
@@ -641,6 +624,13 @@ impl MagazineCache<'_> {
     /// consuming the cache.
     pub fn flush(&mut self) {
         self.mags.flush(self.heap);
+    }
+
+    /// Publishes pending handout/free counters to the heap's statistics,
+    /// keeping reservations and buffered frees in place
+    /// (see [`ThreadMagazines::fold_stats`]).
+    pub fn fold_stats(&mut self) {
+        self.mags.fold_stats(self.heap);
     }
 }
 
@@ -708,6 +698,9 @@ mod tests {
             FreeOutcome::NotAllocated,
             "freeing a reserved slot is an invalid free"
         );
+        // Handouts are per-thread counts until a refill or flush; fold them
+        // without touching the magazine.
+        cache.fold_stats();
         let stats = h.stats();
         assert_eq!(stats.allocs, 1, "only the handout counts");
         assert_eq!(stats.ignored_frees, 1);
@@ -731,7 +724,7 @@ mod tests {
             for _ in 0..5 {
                 offs.push(h.offset_of(cache.alloc(256).unwrap()));
             }
-            // Buffer two frees below the opportunistic-flush threshold.
+            // Buffer two frees, below the flush point.
             cache.free_at(offs[0]);
             cache.free_at(offs[1]);
             assert_eq!(h.stats().frees, 0, "frees still buffered");
@@ -760,8 +753,7 @@ mod tests {
         for &off in &offs {
             assert_eq!(cache.free_at(off), CachedFree::Buffered);
         }
-        // The buffer hit capacity at least once (opportunistic flushes may
-        // have drained it earlier too — single-threaded, try_lock succeeds).
+        // The free that filled the buffer flushed it.
         assert_eq!(h.stats().frees, FREE_SLOTS as u64);
     }
 
@@ -816,8 +808,8 @@ mod tests {
         assert_eq!(stats.exhausted, 2);
     }
 
-    /// Elastic refills grow the class under the maintenance lock they
-    /// already hold: the cached stack absorbs a max-capacity workload from
+    /// Elastic refills take the maintenance lock to grow the class: the
+    /// cached stack absorbs a max-capacity workload from
     /// a 1/64 start and spills — not crashes — past the final `1/M` cap.
     #[test]
     fn elastic_refills_grow_then_spill() {

@@ -10,7 +10,7 @@
 //! shared mutable state) couples allocations in different size classes.
 
 use crate::bitmap::{SlotState, SlotStateMap};
-use crate::rng::AtomicMwc;
+use crate::rng::{below_from, AtomicMwc};
 use crate::size_class::SizeClass;
 use core::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
@@ -109,7 +109,7 @@ fn probe(mut draw: impl FnMut() -> usize, mut claim: impl FnMut(usize) -> bool) 
 ///
 /// * `active` = `draw_shift << 58 | threshold`: one load yields a mutually
 ///   consistent (draw range, `1/M` cap) pair. Shift `0` is the non-pow2
-///   sentinel (falls back to [`AtomicMwc::below`]); elastic capacities are
+///   sentinel (falls back to the widening-multiply draw); elastic capacities are
 ///   always pow2, so the hot path never takes it.
 /// * `tickets` = `allocs << 32 | in_use`: the `1/M` ticket and the telemetry
 ///   allocation counter advance in **one** `fetch_add` (the alloc counter
@@ -148,6 +148,8 @@ const TICKET_ALLOC_SHIFT: u32 = 32;
 const TICKET_IN_USE_MASK: u64 = u32::MAX as u64;
 /// One allocation ticket: bumps `in_use` and `allocs` in a single RMW.
 const TICKET: u64 = 1 | (1 << TICKET_ALLOC_SHIFT);
+/// Most words one [`AtomicPartition::reserve_batch`] draw round takes.
+const DRAW_ROUND: usize = 8;
 
 /// Packs a draw shift and threshold into one `active` word.
 #[inline]
@@ -344,16 +346,16 @@ impl AtomicPartition {
         self.in_use() >= self.threshold()
     }
 
-    /// Draws one probe index for the range described by a loaded `active`
-    /// word (the packed shift keeps the draw and the threshold mutually
-    /// consistent without locking).
+    /// Maps one drawn word to a probe index for the range described by a
+    /// loaded `active` word (the packed shift keeps the draw and the
+    /// threshold mutually consistent without locking).
     #[inline]
-    fn draw(&self, active: u64) -> usize {
+    fn index_of(&self, word: u64, active: u64) -> usize {
         let shift = (active >> ACTIVE_SHIFT_BITS) as u32;
         if shift != 0 {
-            (self.rng.next_u64() >> shift) as usize
+            (word >> shift) as usize
         } else {
-            self.rng.below(self.capacity.load(Ordering::Relaxed))
+            below_from(word, self.capacity.load(Ordering::Relaxed))
         }
     }
 
@@ -399,7 +401,8 @@ impl AtomicPartition {
         // of a rarely-written line is free next to the draw itself, and
         // single-threaded it always reads the same word — determinism is
         // untouched.
-        let (index, probes) = probe(|| self.draw(self.active.load(Ordering::Relaxed)), claim);
+        let draw = || self.index_of(self.rng.next_u64(), self.active.load(Ordering::Relaxed));
+        let (index, probes) = probe(draw, claim);
         // One deferred add per allocation, not per probe.
         self.probes.fetch_add(probes, Ordering::Relaxed);
         Some(index)
@@ -458,15 +461,16 @@ impl AtomicPartition {
 
     /// Reserves up to `out.len()` slots with **batched accounting**: one
     /// ticket `fetch_add` covers the whole request (clamped to the `1/M`
-    /// cap, the overshoot returned in one `fetch_sub`) and the probe/alloc
-    /// counters are updated once at the end — the magazine refill's bulk
-    /// twin of [`reserve_one`](Self::reserve_one). Each slot is still an
-    /// independent uniform draw from the shared stream through the same
-    /// probe loop, so placement distribution, draw order, and probe/alloc
-    /// totals are identical to `out.len()` sequential `reserve_one` calls;
-    /// only the number of atomic read-modify-writes shrinks. Returns how
-    /// many slots were reserved (0 at the cap); `out[..n]` holds them in
-    /// draw order.
+    /// cap, the overshoot returned in one `fetch_sub`), the probe/alloc
+    /// counters are updated once at the end, and each draw round is one RNG
+    /// CAS ([`AtomicMwc::next_u64_batch`]) for as many words as slots are
+    /// still missing, claimed in draw order; the next round redraws for the
+    /// lost claims. This is the magazine refill's bulk twin of
+    /// [`reserve_one`](Self::reserve_one): no round draws past the last slot
+    /// it needs, so serially the draws, claims, placements and probe/alloc
+    /// totals equal `out.len()` sequential `reserve_one` calls; only the RMW
+    /// count shrinks. Returns how many slots were reserved (0 at the cap);
+    /// `out[..n]` holds them in draw order.
     pub fn reserve_batch(&self, out: &mut [usize]) -> usize {
         let want = out.len();
         if want == 0 {
@@ -493,14 +497,19 @@ impl AtomicPartition {
         if granted == 0 {
             return 0;
         }
-        let mut probes = 0u64;
-        for slot in &mut out[..granted] {
-            let (index, n) = probe(
-                || self.draw(self.active.load(Ordering::Relaxed)),
-                |index| self.map.reserve(index),
-            );
-            *slot = index;
-            probes += n;
+        let mut words = [0u64; DRAW_ROUND];
+        let (mut filled, mut probes) = (0, 0u64);
+        while filled < granted {
+            let round = &mut words[..(granted - filled).min(DRAW_ROUND)];
+            self.rng.next_u64_batch(round);
+            probes += round.len() as u64;
+            for &word in round.iter() {
+                let index = self.index_of(word, self.active.load(Ordering::Relaxed));
+                if self.map.reserve(index) {
+                    out[filled] = index;
+                    filled += 1;
+                }
+            }
         }
         self.probes.fetch_add(probes, Ordering::Relaxed);
         granted
@@ -869,15 +878,25 @@ mod tests {
     fn reserve_batch_matches_sequential_reserve_one() {
         // Same seed, two partitions: one batched request must produce the
         // same slots in the same draw order, with identical ticket and
-        // probe/alloc accounting, as sequential single reservations.
-        let one = part_seeded(128, 64, 0xBA7C);
-        let batch = part_seeded(128, 64, 0xBA7C);
-        let singles: Vec<usize> = (0..8).map(|_| one.reserve_one().unwrap()).collect();
-        let mut out = [usize::MAX; 8];
-        assert_eq!(batch.reserve_batch(&mut out), 8);
-        assert_eq!(out.to_vec(), singles);
-        assert_eq!(batch.in_use(), one.in_use());
-        assert_eq!(batch.probe_stats(), one.probe_stats());
+        // probe/alloc accounting, as sequential single reservations. Three
+        // shapes: a roomy power-of-two region (the shift draw), a crowded
+        // one where most draws collide and rounds redraw many times, and a
+        // non-power-of-two capacity (the widening-multiply draw).
+        for (cap, thresh, prefill) in [(128, 64, 0), (64, 63, 50), (100, 50, 10)] {
+            let one = part_seeded(cap, thresh, 0xBA7C);
+            let batch = part_seeded(cap, thresh, 0xBA7C);
+            for _ in 0..prefill {
+                assert_eq!(one.alloc(), batch.alloc(), "capacity {cap}: prefill");
+            }
+            let singles: Vec<usize> = (0..8).map(|_| one.reserve_one().unwrap()).collect();
+            let mut out = [usize::MAX; 8];
+            assert_eq!(batch.reserve_batch(&mut out), 8, "capacity {cap}");
+            assert_eq!(out.to_vec(), singles, "capacity {cap}");
+            assert_eq!(batch.in_use(), one.in_use(), "capacity {cap}");
+            assert_eq!(batch.probe_stats(), one.probe_stats(), "capacity {cap}");
+            // The stream is left where the singles left it.
+            assert_eq!(batch.alloc(), one.alloc(), "capacity {cap}: next draw");
+        }
     }
 
     #[test]

@@ -117,8 +117,7 @@ impl Mwc {
         debug_assert!(bound > 0, "bound must be positive");
         // 64x64 -> 128-bit multiply keeps the result uniform for any bound
         // that fits in usize.
-        let r = self.next_u64();
-        ((u128::from(r) * bound as u128) >> 64) as usize
+        below_from(self.next_u64(), bound)
     }
 
     /// Fills `out` with pseudo-random bytes, drawing one 64-bit word per
@@ -247,33 +246,29 @@ impl AtomicMwc {
     /// [`Mwc::next_u64`] on the same state.
     #[inline]
     pub fn next_u64(&self) -> u64 {
+        let mut out = [0];
+        self.next_u64_batch(&mut out);
+        out[0]
+    }
+
+    /// Draws `out.len()` values with **one** CAS: words and final state equal
+    /// `out.len()` [`next_u64`](Self::next_u64) calls. A lost CAS recomputes
+    /// the batch, so concurrent draws still partition the one stream.
+    #[inline]
+    pub fn next_u64_batch(&self, out: &mut [u64]) {
         use core::sync::atomic::Ordering::Relaxed;
         let mut cur = self.state.load(Relaxed);
         loop {
             let mut m = unpack(cur);
-            let out = m.next_u64();
+            m.fill_words(out);
             match self
                 .state
                 .compare_exchange_weak(cur, pack(m.z, m.w), Relaxed, Relaxed)
             {
-                Ok(_) => return out,
+                Ok(_) => return,
                 Err(seen) => cur = seen,
             }
         }
-    }
-
-    /// Returns a uniformly distributed index in `0..bound` via the same
-    /// widening multiply as [`Mwc::below`] (used for the rare non-power-of-two
-    /// capacities; power-of-two probes use the shift on `next_u64` directly).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bound` is zero (debug builds only).
-    #[inline]
-    pub fn below(&self, bound: usize) -> usize {
-        debug_assert!(bound > 0, "bound must be positive");
-        let r = self.next_u64();
-        ((u128::from(r) * bound as u128) >> 64) as usize
     }
 
     /// Runs `f` on a plain [`Mwc`] holding this generator's state and
@@ -289,6 +284,12 @@ impl AtomicMwc {
         *state = pack(m.z, m.w);
         out
     }
+}
+
+/// Maps one drawn word onto `0..bound` by widening multiply ([`Mwc::below`]).
+#[inline]
+pub(crate) fn below_from(word: u64, bound: usize) -> usize {
+    ((u128::from(word) * bound as u128) >> 64) as usize
 }
 
 #[inline]
@@ -403,6 +404,8 @@ fn fallback_seed() -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use core::sync::atomic::Ordering;
+    use proptest::prelude::*;
 
     /// Reference values computed from Marsaglia's recurrence by hand:
     /// starting from the published default lags, one step gives
@@ -594,7 +597,7 @@ mod tests {
             assert_eq!(atomic.next_u64(), seq.next_u64());
         }
         for bound in [1usize, 3, 1024, 4095] {
-            assert_eq!(atomic.below(bound), seq.below(bound));
+            assert_eq!(below_from(atomic.next_u64(), bound), seq.below(bound));
         }
     }
 
@@ -609,6 +612,24 @@ mod tests {
             let plain: Vec<u64> = atomic.with_mut(|m| (0..3).map(|_| m.next_u64()).collect());
             let want: Vec<u64> = (0..3).map(|_| seq.next_u64()).collect();
             assert_eq!(plain, want);
+        }
+    }
+
+    proptest! {
+        /// One batched draw is `n` single draws: same words, and the same
+        /// state left behind for the next draw.
+        #[test]
+        fn atomic_batch_equals_single_draws(seed in any::<u64>(), n in 0usize..40) {
+            let single = AtomicMwc::seeded(seed);
+            let batch = AtomicMwc::seeded(seed);
+            let want: Vec<u64> = (0..n).map(|_| single.next_u64()).collect();
+            let mut got = vec![0u64; n];
+            batch.next_u64_batch(&mut got);
+            prop_assert_eq!(got, want);
+            prop_assert_eq!(
+                batch.state.load(Ordering::Relaxed),
+                single.state.load(Ordering::Relaxed)
+            );
         }
     }
 

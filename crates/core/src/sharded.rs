@@ -12,11 +12,11 @@
 //! all**: an allocation draws a probe index and claims the slot with one
 //! `fetch_or` (retrying the draw on a lost race, exactly like re-probing an
 //! occupied slot), and a free validates with lock-free arithmetic
-//! ([`locate_free`]) and clears the slot with one CAS. The per-class
-//! [`SpinLock`]s survive only as *maintenance locks* for slow-path batches —
-//! magazine refills, free-buffer flushes, reservation teardown — where one
-//! acquisition amortizes over many slots and mutual exclusion among
-//! *maintainers* (not allocators) is the point.
+//! ([`locate_free`]) and clears the slot with one CAS. Magazine refills and
+//! free-buffer flushes are lock-free batches of the same atomics. The
+//! per-class [`SpinLock`]s survive only as *maintenance locks* for elastic
+//! growth, reservation teardown and `fork(2)` preparation, where mutual
+//! exclusion among *maintainers* (not allocators) is the point.
 //!
 //! Determinism under the lock-free path — the pinned contended-retry rule:
 //!
@@ -71,11 +71,12 @@ use core::sync::atomic::{AtomicU64, Ordering};
 pub struct ShardedHeap {
     geometry: HeapGeometry,
     shards: [AtomicPartition; NUM_CLASSES],
-    /// Slow-path mutual exclusion per class: magazine refills, free-buffer
-    /// flushes, and reservation teardown serialize against each other here.
-    /// **Never taken by `alloc`/`free_at`/`is_live_at`** — the per-op paths
-    /// are lock-free by construction, and the slot-state map's atomics keep
-    /// them correct against in-flight maintenance.
+    /// Slow-path mutual exclusion per class: growth doublings and
+    /// reservation teardown serialize here, and `fork(2)` preparation holds
+    /// all twelve. **Never taken by `alloc`/`free_at`/`is_live_at`, magazine
+    /// refills or free-buffer flushes** — those paths are lock-free by
+    /// construction, and the slot-state map's atomics keep them correct
+    /// against in-flight maintenance.
     maintenance: [SpinLock<()>; NUM_CLASSES],
     stats: AtomicHeapStats,
     /// Number of completed per-class doublings (elastic heaps; always 0 on
@@ -271,23 +272,15 @@ impl ShardedHeap {
     /// Attempts one growth step for `class`; `false` means the class is
     /// already at its maximum capacity (time to spill), `true` means the
     /// caller should retry its allocation — either this call doubled the
-    /// active capacity or a racing free already made room.
-    fn grow_class(&self, class: SizeClass) -> bool {
+    /// active capacity per [`HeapGeometry::grow_step`] under the class's
+    /// maintenance lock, or a racing free (or grower) already made room.
+    /// Shared by the uncached path and magazine refills.
+    pub(crate) fn grow_class(&self, class: SizeClass) -> bool {
         let shard = &self.shards[class.index()];
         if shard.capacity() >= self.geometry.capacity(class) {
             return false;
         }
         let _guard = self.maintenance[class.index()].lock();
-        self.grow_class_locked(class)
-    }
-
-    /// The body of [`grow_class`] for callers that already hold `class`'s
-    /// maintenance lock (the magazine refill path — re-locking would
-    /// deadlock on the non-reentrant `SpinLock`). Doubles the active
-    /// capacity per [`HeapGeometry::grow_step`]; skips the doubling (but still reports "retry") when a racing free
-    /// dropped the shard below its cap while we waited for the lock.
-    pub(crate) fn grow_class_locked(&self, class: SizeClass) -> bool {
-        let shard = &self.shards[class.index()];
         let Some((new_capacity, new_threshold)) = self.geometry.grow_step(class, shard.capacity())
         else {
             return false;
@@ -361,21 +354,23 @@ impl ShardedHeap {
         &self.shards[class.index()]
     }
 
-    /// The slow-path maintenance lock for `class`. Batch operations (refill,
-    /// flush, teardown) hold it so maintainers serialize with each other;
-    /// the per-op paths never touch it.
+    /// The slow-path maintenance lock for `class` (growth, reservation
+    /// teardown); the per-op paths, refills and flushes never touch it.
     #[inline]
     pub(crate) fn maintenance_lock(&self, class: SizeClass) -> &SpinLock<()> {
         &self.maintenance[class.index()]
     }
 
     /// Acquires every per-class maintenance lock, in class-index order —
-    /// the `fork(2)` prepare path: with all twelve held, no batch operation
-    /// (refill, flush, growth, teardown) is mid-flight anywhere, so the
-    /// child inherits shard metadata that is batch-consistent. Per-op CAS
-    /// traffic is not (and cannot be) excluded; an in-flight reservation
-    /// ticket in the forking parent can leak a bounded number of slots in
-    /// the child, which is availability, not corruption.
+    /// the `fork(2)` prepare path: with all twelve held, no growth or
+    /// reservation teardown is mid-flight anywhere. Lock-free traffic —
+    /// per-op CASes, magazine refills and free flushes — is not (and cannot
+    /// be) excluded. The tickets another thread of the forking parent holds
+    /// in its magazine and free buffer, or in a refill or flush in flight,
+    /// are stranded in the child: at most
+    /// [`MAG_SLOTS`](crate::magazine::MAG_SLOTS) `+`
+    /// [`FREE_SLOTS`](crate::magazine::FREE_SLOTS) (8 + 8) per thread per
+    /// class. That is availability, not corruption.
     ///
     /// Release with [`unlock_all_maintenance`](Self::unlock_all_maintenance)
     /// in both the parent and the child.
@@ -400,8 +395,9 @@ impl ShardedHeap {
     }
 
     /// The heap-wide atomic counters, shared with wrappers (the magazine
-    /// layer records handouts and batched frees into the same stats so the
-    /// aggregate numbers stay exact whichever path served an operation).
+    /// layer folds its per-thread handout and free counts into the same
+    /// stats, so the aggregate numbers stay exact whichever path served an
+    /// operation).
     #[inline]
     pub(crate) fn stats_ref(&self) -> &AtomicHeapStats {
         &self.stats

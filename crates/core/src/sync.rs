@@ -75,24 +75,6 @@ impl<T> SpinLock<T> {
     pub unsafe fn raw_unlock(&self) {
         self.locked.store(false, Ordering::Release);
     }
-
-    /// Acquires the lock only if it is free right now, without spinning.
-    ///
-    /// The magazine layer uses this for *opportunistic* free-buffer flushes:
-    /// when the buffer is only half full a contended shard is left alone
-    /// (the flush retries at the next free), and only a completely full
-    /// buffer forces a blocking [`lock`](Self::lock).
-    pub fn try_lock(&self) -> Option<SpinGuard<'_, T>> {
-        if self
-            .locked
-            .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
-            .is_ok()
-        {
-            Some(SpinGuard { lock: self })
-        } else {
-            None
-        }
-    }
 }
 
 /// RAII guard returned by [`SpinLock::lock`]; releases on drop.
@@ -179,8 +161,16 @@ impl<T> OnceCell<T> {
     ///
     /// Exactly one thread runs `init`; racing threads spin until the winner
     /// publishes. When `init` returns `None` the cell is left in a terminal
-    /// failed state and this (and every later) call returns `None`.
+    /// failed state and this (and every later) call returns `None`. Once
+    /// initialized this is [`get`](Self::get): one `Acquire` load, no RMW.
+    #[inline]
     pub fn get_or_try_init(&self, init: impl FnOnce() -> Option<T>) -> Option<&T> {
+        self.get().or_else(|| self.try_init(init))
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn try_init(&self, init: impl FnOnce() -> Option<T>) -> Option<&T> {
         loop {
             match self.state.compare_exchange(
                 EMPTY,
@@ -256,22 +246,17 @@ mod tests {
     }
 
     #[test]
-    fn try_lock_fails_while_held() {
-        let lock = SpinLock::new(1u32);
-        let g = lock.try_lock().expect("uncontended");
-        assert!(lock.try_lock().is_none(), "held lock must not be re-taken");
-        drop(g);
-        assert_eq!(*lock.try_lock().expect("released"), 1);
-    }
-
-    #[test]
     fn raw_lock_excludes_and_raw_unlock_releases() {
         let lock = SpinLock::new(0u32);
         lock.raw_lock();
-        assert!(lock.try_lock().is_none(), "raw_lock must hold the lock");
+        assert!(
+            lock.locked.load(Ordering::Relaxed),
+            "raw_lock must hold the lock"
+        );
         // SAFETY: held via raw_lock on the line above.
         unsafe { lock.raw_unlock() };
-        assert_eq!(*lock.try_lock().expect("raw_unlock released"), 0);
+        assert!(!lock.locked.load(Ordering::Relaxed), "raw_unlock released");
+        assert_eq!(*lock.lock(), 0);
     }
 
     #[test]

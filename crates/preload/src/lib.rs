@@ -42,13 +42,16 @@
 //!   by their header size, `malloc_usable_size` answers from the header.
 //!   Arena exhaustion fails *re-entrant* requests with null — bounded,
 //!   since only allocator-internal traffic lands there after startup.
-//! * **Re-entrancy.** A `const`-initialized, `!needs_drop` `thread_local!`
-//!   flag (plain ELF TLS: no lazy init, no destructor registration, no
-//!   allocation; startup-loaded modules get static TLS offsets) marks
-//!   "this thread is inside the allocator". A nested `malloc` is served
-//!   from the arena; a nested `free` of a non-arena pointer is *dropped*
-//!   and counted ([`reentrant_frees_dropped`]) — leaking a bounded number
-//!   of allocator-internal blocks beats re-entering a heap mid-operation.
+//! * **Re-entrancy.** Every allocation and free enters the heap through
+//!   [`DieHard::guarded`], which raises a per-thread "inside the allocator"
+//!   flag kept in the heap's own `const`-initialized, `!needs_drop` TLS
+//!   block (plain ELF TLS: no lazy init, no destructor registration, no
+//!   allocation) — the same block as the thread's magazines, so the guard
+//!   and the magazine cost one `__tls_get_addr` together. A nested `malloc`
+//!   is served from the arena; a nested `free` of a non-arena pointer is
+//!   *dropped* and counted ([`reentrant_frees_dropped`]) — leaking a
+//!   bounded number of allocator-internal blocks beats re-entering a heap
+//!   mid-operation.
 //! * **Foreign pointers.** `free`/`realloc` on pointers this allocator
 //!   never produced (ld.so bootstrap blocks, another library's private
 //!   arena) are detected by the heap's span check plus the large-object
@@ -62,9 +65,10 @@
 //!   every allocator lock (TLS registry → twelve per-class maintenance
 //!   locks → large-object table) is acquired in fixed order across the
 //!   fork and released in both parent and child, so the child's single
-//!   thread never inherits a lock frozen mid-critical-section. In-flight
-//!   *lock-free* reservation tickets in other threads can strand a
-//!   bounded number of slots in the child — availability, not corruption.
+//!   thread never inherits a lock frozen mid-critical-section. Lock-free
+//!   work in other threads (magazine refills and flushes included) can
+//!   strand a bounded number of slots in the child — availability, not
+//!   corruption.
 //! * **Alignment contract.** `malloc`/`calloc`/`realloc` return 16-byte
 //!   aligned blocks (`max_align_t` on the 64-bit targets we build);
 //!   requests below 16 bytes come from the 16-byte class. DieHard slots
@@ -82,13 +86,12 @@
 //!   byte more than the contract allows into memory it knows nothing
 //!   about.
 
-use core::cell::Cell;
 use core::ptr;
 use core::sync::atomic::{AtomicUsize, Ordering};
 use diehard_core::global::DieHard;
 use diehard_core::safe_str;
 use libc::{c_char, c_int, c_void};
-use std::alloc::{GlobalAlloc, Layout};
+use std::alloc::Layout;
 
 /// Elastic start fraction when `DIEHARD_GROW` is unset: classes begin at
 /// 1/16 of their configured maximum — small enough that an interposed
@@ -105,24 +108,6 @@ static HEAP: DieHard = DieHard::elastic_from_env(DEFAULT_GROW_LOG2);
 /// Frees dropped because they arrived re-entrantly for non-arena pointers
 /// (see the audit above). Diagnostic, read by tests.
 static REENTRANT_FREES: AtomicUsize = AtomicUsize::new(0);
-
-thread_local! {
-    /// "This thread is inside the allocator" — const-init, `!needs_drop`,
-    /// so it lowers to plain ELF TLS (no allocation on first touch).
-    static IN_ALLOCATOR: Cell<bool> = const { Cell::new(false) };
-}
-
-/// Runs `f` with the re-entrancy flag set, telling it whether it was
-/// already set (i.e. this call re-entered the allocator).
-fn with_guard<R>(f: impl FnOnce(bool) -> R) -> R {
-    IN_ALLOCATOR.with(|flag| {
-        let reentered = flag.get();
-        flag.set(true);
-        let r = f(reentered);
-        flag.set(reentered);
-        r
-    })
-}
 
 /// Frees dropped on the re-entrant path since process start.
 pub fn reentrant_frees_dropped() -> usize {
@@ -230,15 +215,14 @@ fn set_errno(v: c_int) {
 /// failure returns null with `errno` untouched (callers decide between
 /// `ENOMEM` and POSIX's return-value-only reporting).
 fn alloc_impl(size: usize, align: usize) -> *mut u8 {
-    with_guard(|reentered| {
-        if reentered {
+    HEAP.guarded(|heap| {
+        let Some(heap) = heap else {
             return arena::alloc(size, align);
-        }
+        };
         let Ok(layout) = Layout::from_size_align(size.max(1), align) else {
             return ptr::null_mut();
         };
-        // SAFETY: the layout is valid and non-zero-sized.
-        unsafe { GlobalAlloc::alloc(&HEAP, layout) }
+        heap.alloc(layout)
     })
 }
 
@@ -261,11 +245,10 @@ fn free_impl(p: *mut u8) {
     if p.is_null() || arena::contains(p) {
         return;
     }
-    with_guard(|reentered| {
-        if reentered {
+    HEAP.guarded(|heap| match heap {
+        Some(heap) => heap.free(p),
+        None => {
             REENTRANT_FREES.fetch_add(1, Ordering::Relaxed);
-        } else {
-            HEAP.free(p);
         }
     });
 }
@@ -1017,7 +1000,7 @@ mod tests {
     fn arena_serves_reentrant_requests() {
         let before = arena::used();
         // Simulate a re-entrant malloc: the guard is already set.
-        let p = with_guard(|_| alloc_impl(100, MALLOC_ALIGN));
+        let p = HEAP.guarded(|_| alloc_impl(100, MALLOC_ALIGN));
         assert!(!p.is_null());
         assert!(arena::contains(p), "re-entrant requests hit the arena");
         assert!(arena::used() > before);
@@ -1067,6 +1050,65 @@ mod tests {
         assert_eq!(waited, pid);
         assert_eq!(status, 0, "child exited cleanly on the inherited heap");
         free(warm);
+    }
+
+    /// Magazine refills and free flushes take no lock, so `fork_prepare`
+    /// cannot quiesce them: forks land while other threads are mid-refill
+    /// or mid-flush. Every child must still get a working heap in every
+    /// class the C ABI reaches (16 B to 16 KiB; `malloc`'s 16-byte floor
+    /// skips the 8-byte class) plus the large-object path.
+    #[test]
+    fn fork_while_other_threads_churn() {
+        use std::sync::atomic::AtomicBool;
+        let stop = AtomicBool::new(false);
+        let statuses: Vec<c_int> = std::thread::scope(|scope| {
+            for t in 0..4usize {
+                let stop = &stop;
+                scope.spawn(move || {
+                    let mut live = [ptr::null_mut(); 36];
+                    let mut i = t;
+                    while !stop.load(Ordering::Relaxed) {
+                        let slot = i % live.len();
+                        free(live[slot]);
+                        live[slot] = malloc(8 << (i % 12));
+                        assert!(!live[slot].is_null());
+                        i += 1;
+                    }
+                    live.into_iter().for_each(free);
+                });
+            }
+            let statuses = (0..20)
+                .map(|_| {
+                    // SAFETY: the child only touches the allocator and
+                    // _exit (no stdio, no harness teardown).
+                    let pid = unsafe { libc::fork() };
+                    if pid == 0 {
+                        let mut failed = 0;
+                        for size in (0..12).map(|c| 8usize << c).chain([1 << 20]) {
+                            let p = malloc(size).cast::<u8>();
+                            if p.is_null() {
+                                failed = 1;
+                                break;
+                            }
+                            // SAFETY: live object of `size` bytes.
+                            unsafe { p.write_bytes(0x5C, size) };
+                            free(p.cast());
+                        }
+                        // SAFETY: child exit, no cleanup wanted.
+                        unsafe { libc::_exit(failed) };
+                    }
+                    let mut status: c_int = -1;
+                    // SAFETY: pid is our direct child (or -1, which fails).
+                    if pid < 0 || unsafe { libc::waitpid(pid, &raw mut status, 0) } != pid {
+                        return -1;
+                    }
+                    status
+                })
+                .collect();
+            stop.store(true, Ordering::Relaxed);
+            statuses
+        });
+        assert_eq!(statuses, vec![0; 20], "every child exited 0");
     }
 
     #[test]

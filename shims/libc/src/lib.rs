@@ -226,6 +226,11 @@ extern "C" {
     /// `dlopen(3)` (in libc proper since glibc 2.34; the container's glibc
     /// qualifies).
     pub fn dlopen(filename: *const c_char, flags: c_int) -> *mut c_void;
+    /// `malloc(3)`: the process's own allocator (whatever `malloc` the
+    /// dynamic linker bound this binary to).
+    pub fn malloc(size: size_t) -> *mut c_void;
+    /// `free(3)`.
+    pub fn free(ptr: *mut c_void);
     /// `dlsym(3)`.
     pub fn dlsym(handle: *mut c_void, symbol: *const c_char) -> *mut c_void;
     /// `pthread_key_create(3)`: allocates a thread-specific-data key whose
