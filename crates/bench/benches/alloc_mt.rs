@@ -8,7 +8,7 @@
 //! measures the architectural deltas on a mixed-class workload at 1/2/4/8
 //! threads: `single_lock` wraps the facade in one `SpinLock`, `sharded`
 //! uses [`ShardedHeap`] directly, and `magazine` runs each thread through a
-//! [`MagazineHeap`] thread cache (created and flushed inside the iteration,
+//! [`ShardedHeap`] thread cache (created and flushed inside the iteration,
 //! so refill/flush costs are charged to the measurement). All three run
 //! identical per-thread op sequences (allocate into a sliding window, free
 //! the oldest), so the reported ns/iter are directly comparable — an
@@ -18,7 +18,6 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use diehard_core::config::HeapConfig;
 use diehard_core::engine::HeapCore;
-use diehard_core::magazine::MagazineHeap;
 use diehard_core::rng::Mwc;
 use diehard_core::sharded::ShardedHeap;
 use diehard_core::sync::SpinLock;
@@ -79,7 +78,7 @@ fn churn_sharded(heap: &ShardedHeap, sizes: &[usize]) {
 /// The identical churn through a thread-local magazine cache: the hot path
 /// is a lock-free handout/buffered free; shard locks are touched only by
 /// batched refills and flushes (including the flush when the cache drops).
-fn churn_magazine(heap: &MagazineHeap, sizes: &[usize]) {
+fn churn_magazine(heap: &ShardedHeap, sizes: &[usize]) {
     let mut cache = heap.thread_cache();
     let mut live: Vec<usize> = Vec::with_capacity(WINDOW + 1);
     for (i, &sz) in sizes.iter().cycle().take(OPS_PER_THREAD).enumerate() {
@@ -140,7 +139,7 @@ fn bench_alloc_mt(c: &mut Criterion) {
             },
         );
 
-        let magazine = MagazineHeap::new(HeapConfig::default(), 1).unwrap();
+        let magazine = ShardedHeap::new(HeapConfig::default(), 1).unwrap();
         group.bench_with_input(
             BenchmarkId::new("magazine", threads),
             &threads,

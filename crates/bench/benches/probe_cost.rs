@@ -53,9 +53,8 @@ fn bench_adaptive_vs_fixed(c: &mut Criterion) {
     });
     group.bench_function("adaptive_heap_1000_allocs", |b| {
         b.iter(|| {
-            let mut h =
-                HeapCore::new_elastic(HeapConfig::default(), 1, DEFAULT_INITIAL_FRACTION_LOG2)
-                    .unwrap();
+            let config = HeapConfig::default().with_grow(DEFAULT_INITIAL_FRACTION_LOG2);
+            let mut h = HeapCore::new(config, 1).unwrap();
             for i in 0..1000usize {
                 black_box(h.alloc(8 + (i % 512)));
             }

@@ -103,7 +103,7 @@ fn main() {
     println!("a 2,000-allocation espresso prefix (M = 2):\n");
     let config = HeapConfig::default().with_region_bytes(4 << 20);
     let fixed_commit = config.heap_span();
-    let mut adaptive = HeapCore::new_elastic(config, 9, DEFAULT_INITIAL_FRACTION_LOG2).unwrap();
+    let mut adaptive = HeapCore::new(config.with_grow(DEFAULT_INITIAL_FRACTION_LOG2), 9).unwrap();
     let espresso = profile_by_name("espresso").expect("espresso");
     let prog = espresso.generate(0.08, 0xADA);
     let mut served = 0usize;

@@ -19,7 +19,6 @@
 //! across timed samples) and `iters` is the total operation count measured.
 
 use diehard_core::config::{FillPolicy, HeapConfig};
-use diehard_core::magazine::MagazineHeap;
 use diehard_core::partition::AtomicPartition;
 use diehard_core::rng::Mwc;
 use diehard_core::sharded::ShardedHeap;
@@ -134,7 +133,7 @@ fn alloc_churn_mixed(smoke: bool) -> KernelResult {
 }
 
 /// The same 64-slot mixed-size churn ring as `alloc_churn_mixed`, but
-/// against the concurrent [`MagazineHeap`] through its thread-local
+/// against the concurrent [`ShardedHeap`] through its thread-local
 /// magazine cache — the exact in-process path `libdiehard.so` puts under
 /// every interposed `malloc`. Comparing the two rows prices the
 /// thread-safety layers (magazines + lock-free shard CAS) against the
@@ -150,7 +149,7 @@ fn magazine_alloc_churn(smoke: bool) -> KernelResult {
         let mut rng = Mwc::seeded(0xBEAC4);
         core::array::from_fn(|_| 8 + rng.below(2040))
     };
-    let heap = MagazineHeap::new(HeapConfig::default(), 0xCAFE).unwrap();
+    let heap = ShardedHeap::new(HeapConfig::default(), 0xCAFE).unwrap();
     let mut ring = [usize::MAX; RING];
     let mut i = 0usize;
     measure("magazine_alloc_churn", warmup, samples, ops, move || {
@@ -365,7 +364,7 @@ fn grow_under_churn(smoke: bool) -> KernelResult {
     let mut seed = 0x6_2011u64;
     measure("grow_under_churn", warmup, samples, ops, move || {
         seed += 1;
-        let heap = ShardedHeap::new_elastic(config.clone(), seed, 6).unwrap();
+        let heap = ShardedHeap::new(config.clone().with_grow(6), seed).unwrap();
         for _ in 0..ops {
             let slot = heap.try_alloc(8).placed().expect("below the 1/M cap");
             black_box(slot);

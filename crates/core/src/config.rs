@@ -7,9 +7,9 @@
 
 use crate::size_class::{SizeClass, MAX_OBJECT_SIZE, NUM_CLASSES};
 
-/// `log2` of the default start fraction of an elastic heap: each class
-/// begins at `1/64` of its maximum capacity
-/// ([`HeapGeometry::new_elastic`]).
+/// `log2` of the usual start fraction of an elastic heap: with
+/// [`HeapConfig::with_grow`]`(DEFAULT_INITIAL_FRACTION_LOG2)` each class
+/// begins at `1/64` of its maximum capacity.
 pub const DEFAULT_INITIAL_FRACTION_LOG2: u32 = 6;
 
 /// Whether newly served memory is filled with random values.
@@ -51,6 +51,16 @@ pub struct HeapConfig {
     pub region_bytes: usize,
     /// Random-fill policy for detecting uninitialized reads.
     pub fill: FillPolicy,
+    /// Elastic growth (the adaptive heap the paper sketches as future
+    /// work, §9). `None` is the paper's fixed heap: every class is born at
+    /// full capacity, and the `global` allocator returns null at the `1/M`
+    /// cap. `Some(k)` starts each class at `1/2^k` of its maximum capacity
+    /// (clamped to a power of two that holds one live object under `1/M`)
+    /// and doubles it under cap pressure; a denial at the maximum is
+    /// [`AllocOutcome::Spill`](crate::engine::AllocOutcome::Spill), which
+    /// the `global` allocator serves from a dedicated mapping. `Some(0)` is
+    /// born full but still spills.
+    pub grow: Option<u32>,
 }
 
 impl HeapConfig {
@@ -62,6 +72,7 @@ impl HeapConfig {
             multiplier: 2.0,
             region_bytes: 1 << 20,
             fill: FillPolicy::None,
+            grow: None,
         }
     }
 
@@ -73,6 +84,7 @@ impl HeapConfig {
             multiplier: 2.0,
             region_bytes: 32 << 20,
             fill: FillPolicy::None,
+            grow: None,
         }
     }
 
@@ -94,6 +106,14 @@ impl HeapConfig {
     #[must_use]
     pub fn with_fill(mut self, fill: FillPolicy) -> Self {
         self.fill = fill;
+        self
+    }
+
+    /// Makes the heap elastic, each class starting at `1/2^k` of its
+    /// maximum capacity (builder style; see [`grow`](Self::grow)).
+    #[must_use]
+    pub fn with_grow(mut self, k: u32) -> Self {
+        self.grow = Some(k);
         self
     }
 
@@ -241,21 +261,12 @@ pub struct HeapGeometry {
 impl HeapGeometry {
     /// Validates `config` and precomputes its shift/mask geometry.
     ///
-    /// The resulting heap is *fixed-size*: the initial per-class capacity
-    /// equals the maximum, so partitions never grow.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError`] when the configuration is invalid.
-    pub fn new(config: HeapConfig) -> Result<Self, ConfigError> {
-        Self::build(config, 0)
-    }
-
-    /// As [`new`](Self::new), but the heap starts *elastic*: each class
-    /// begins at `1 / 2^initial_fraction_log2` of its maximum capacity
-    /// (clamped to a power of two that can hold at least one live object
-    /// under `1/M`) and doubles on demand up to the maximum. Because every
-    /// start capacity is a power of two, the partitions keep the
+    /// Without [`HeapConfig::grow`] the heap is *fixed-size*: the initial
+    /// per-class capacity equals the maximum, so partitions never grow.
+    /// With `grow = Some(k)` each class begins at `1/2^k` of its maximum
+    /// capacity (clamped to a power of two that can hold at least one live
+    /// object under `1/M`) and doubles on demand up to the maximum. Because
+    /// every start capacity is a power of two, the partitions keep the
     /// shift-only probe draw through every doubling; the slot layout is
     /// computed against the *maximum* capacity, so indices, offsets, and
     /// `slot_at`/`locate_free` arithmetic are growth-stable.
@@ -263,15 +274,9 @@ impl HeapGeometry {
     /// # Errors
     ///
     /// Returns [`ConfigError`] when the configuration is invalid.
-    pub fn new_elastic(
-        config: HeapConfig,
-        initial_fraction_log2: u32,
-    ) -> Result<Self, ConfigError> {
-        Self::build(config, initial_fraction_log2)
-    }
-
-    fn build(config: HeapConfig, initial_fraction_log2: u32) -> Result<Self, ConfigError> {
+    pub fn new(config: HeapConfig) -> Result<Self, ConfigError> {
         config.validate()?;
+        let initial_fraction_log2 = config.grow.unwrap_or(0);
         let region_shift = config.region_bytes.trailing_zeros();
         let mut capacity = [0usize; NUM_CLASSES];
         let mut threshold = [0usize; NUM_CLASSES];
@@ -369,9 +374,8 @@ impl HeapGeometry {
     }
 
     /// The slot count `class`'s region starts with — equal to
-    /// [`capacity`](Self::capacity) for fixed geometries ([`new`](Self::new)),
-    /// a smaller power of two for elastic ones
-    /// ([`new_elastic`](Self::new_elastic)).
+    /// [`capacity`](Self::capacity) for fixed geometries, a smaller power
+    /// of two for elastic ones ([`HeapConfig::grow`]).
     #[must_use]
     #[inline]
     pub fn initial_capacity(&self, class: SizeClass) -> usize {
@@ -626,7 +630,7 @@ mod tests {
     #[test]
     fn elastic_geometry_starts_small_and_pow2() {
         let cfg = HeapConfig::new(); // 1 MB regions, M = 2
-        let geom = HeapGeometry::new_elastic(cfg.clone(), 6).unwrap();
+        let geom = HeapGeometry::new(cfg.clone().with_grow(6)).unwrap();
         for c in SizeClass::all() {
             let start = geom.initial_capacity(c);
             let max = geom.capacity(c);
@@ -646,7 +650,7 @@ mod tests {
         }
         // Doubling: min(2 · capacity, max), threshold for the new size, and
         // nothing past the maximum.
-        let elastic = HeapGeometry::new_elastic(HeapConfig::new(), 6).unwrap();
+        let elastic = HeapGeometry::new(HeapConfig::new().with_grow(6)).unwrap();
         let c11 = SizeClass::from_index(11); // 16 KB: max 64 slots, start 2
         let mut cap = elastic.initial_capacity(c11);
         let mut steps = Vec::new();
@@ -662,7 +666,7 @@ mod tests {
         // Non-dyadic multiplier: the start is still a power of two (the
         // point of the elastic geometry — the shift draw never degrades).
         let odd = HeapConfig::new().with_multiplier(3.0);
-        let geom = HeapGeometry::new_elastic(odd, 10).unwrap();
+        let geom = HeapGeometry::new(odd.with_grow(10)).unwrap();
         for c in SizeClass::all() {
             assert!(geom.initial_capacity(c).is_power_of_two());
         }

@@ -64,9 +64,8 @@ impl FreeOutcome {
 /// The result of a small-object allocation attempt on a heap that can grow.
 ///
 /// Fixed heaps only ever report `Placed` or the terminal condition; elastic
-/// heaps ([`ShardedHeap::new_elastic`](crate::sharded::ShardedHeap::new_elastic))
-/// distinguish *why* a request was not placed so the caller can route
-/// around exhaustion instead of treating it as OOM.
+/// heaps ([`HeapConfig::grow`]) distinguish *why* a request was not placed
+/// so the caller can route around exhaustion instead of treating it as OOM.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AllocOutcome {
     /// The object was placed at this slot.
@@ -317,9 +316,8 @@ pub fn locate_free(geometry: &HeapGeometry, offset: usize) -> Result<Slot, FreeO
 /// bit-identical to [`ShardedHeap`](crate::sharded::ShardedHeap) for the same
 /// seed at no atomic read-modify-write cost.
 ///
-/// A heap is *fixed* ([`new`](Self::new)) or *elastic*
-/// ([`new_elastic`](Self::new_elastic), the adaptive variant the paper
-/// sketches as future work, §9): each class then starts at a fraction of
+/// A heap is *fixed* or *elastic* ([`HeapConfig::grow`], the adaptive
+/// variant the paper sketches as future work, §9): each class then starts at a fraction of
 /// its maximum capacity and doubles whenever it hits its `1/M` cap. Object
 /// offsets are stable across growth, because regions are laid out at their
 /// maximum size and only the probing range changes; protection is
@@ -353,23 +351,12 @@ pub struct HeapCore {
 }
 
 impl HeapCore {
-    /// Creates an empty fixed-size heap with the given configuration and
-    /// RNG seed.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError`] when the configuration is invalid.
-    pub fn new(config: HeapConfig, seed: u64) -> Result<Self, ConfigError> {
-        Ok(Self::from_geometry(HeapGeometry::new(config)?, seed))
-    }
-
-    /// Creates an *elastic* heap: each class starts at
-    /// `1 / 2^initial_fraction_log2` of its maximum capacity
-    /// ([`DEFAULT_INITIAL_FRACTION_LOG2`](crate::config::DEFAULT_INITIAL_FRACTION_LOG2)
-    /// is the usual choice) and doubles under `1/M`-cap pressure up to the
-    /// maximum. Single-threaded histories are bit-identical to
-    /// [`ShardedHeap::new_elastic`](crate::sharded::ShardedHeap::new_elastic)
-    /// at the same seed and fraction.
+    /// Creates an empty heap with the given configuration and RNG seed:
+    /// fixed-size, or elastic when [`HeapConfig::grow`] is set (each class
+    /// then starts at `1/2^k` of its maximum capacity and doubles under
+    /// `1/M`-cap pressure up to the maximum). Single-threaded histories are
+    /// bit-identical to [`ShardedHeap`](crate::sharded::ShardedHeap) at the
+    /// same configuration and seed.
     ///
     /// # Examples
     ///
@@ -377,7 +364,8 @@ impl HeapCore {
     /// use diehard_core::config::{HeapConfig, DEFAULT_INITIAL_FRACTION_LOG2};
     /// use diehard_core::engine::HeapCore;
     ///
-    /// let mut heap = HeapCore::new_elastic(HeapConfig::default(), 7, DEFAULT_INITIAL_FRACTION_LOG2)?;
+    /// let config = HeapConfig::default().with_grow(DEFAULT_INITIAL_FRACTION_LOG2);
+    /// let mut heap = HeapCore::new(config, 7)?;
     /// let start = heap.committed_bytes();
     /// for _ in 0..5000 {
     ///     heap.alloc(8).expect("grows instead of failing");
@@ -390,26 +378,16 @@ impl HeapCore {
     /// # Errors
     ///
     /// Returns [`ConfigError`] when the configuration is invalid.
-    pub fn new_elastic(
-        config: HeapConfig,
-        seed: u64,
-        initial_fraction_log2: u32,
-    ) -> Result<Self, ConfigError> {
-        Ok(Self::from_geometry(
-            HeapGeometry::new_elastic(config, initial_fraction_log2)?,
-            seed,
-        ))
-    }
-
-    fn from_geometry(geometry: HeapGeometry, seed: u64) -> Self {
+    pub fn new(config: HeapConfig, seed: u64) -> Result<Self, ConfigError> {
+        let geometry = HeapGeometry::new(config)?;
         let partitions = build_atomic_partitions(&geometry, seed);
-        Self {
+        Ok(Self {
             geometry,
             rng: Mwc::seeded(seed),
             partitions,
             stats: HeapStats::default(),
             growths: 0,
-        }
+        })
     }
 
     /// The heap's configuration (region sizes are *maximums* when elastic).
@@ -755,7 +733,11 @@ mod tests {
     }
 
     fn elastic(seed: u64) -> HeapCore {
-        HeapCore::new_elastic(HeapConfig::default(), seed, DEFAULT_INITIAL_FRACTION_LOG2).unwrap()
+        HeapCore::new(
+            HeapConfig::default().with_grow(DEFAULT_INITIAL_FRACTION_LOG2),
+            seed,
+        )
+        .unwrap()
     }
 
     #[test]
@@ -778,7 +760,7 @@ mod tests {
             HeapConfig::default().with_multiplier(3.0),
             HeapConfig::default().with_multiplier(4.0 / 3.0),
         ] {
-            let h = HeapCore::new_elastic(cfg, 9, DEFAULT_INITIAL_FRACTION_LOG2).unwrap();
+            let h = HeapCore::new(cfg.with_grow(DEFAULT_INITIAL_FRACTION_LOG2), 9).unwrap();
             for c in SizeClass::all() {
                 let start = h.partition(c).capacity();
                 assert!(
@@ -813,7 +795,7 @@ mod tests {
     #[test]
     fn elastic_growth_capped_at_configured_maximum() {
         let cfg = HeapConfig::default().with_region_bytes(64 * 1024);
-        let mut h = HeapCore::new_elastic(cfg.clone(), 3, DEFAULT_INITIAL_FRACTION_LOG2).unwrap();
+        let mut h = HeapCore::new(cfg.clone().with_grow(DEFAULT_INITIAL_FRACTION_LOG2), 3).unwrap();
         let c11 = SizeClass::from_index(11); // 16 KB: max capacity 4
         let max_cap = cfg.capacity(c11);
         let mut got = 0;

@@ -29,7 +29,12 @@
 //! | `DIEHARD_SEED`      | master RNG seed                          | entropy    |
 //! | `DIEHARD_REGION_MB` | per-class region megabytes               | 32 (min 1) |
 //! | `DIEHARD_M`         | expansion factor `M`                     | 2 (min 1)  |
-//! | `DIEHARD_GROW`      | elastic start fraction `1/2^n` (`n`≤63)  | unset      |
+//! | `DIEHARD_GROW`      | elastic start fraction `1/2^n` (`n`≤63)  | 4 (1/16)   |
+//!
+//! An environment-configured heap is always elastic
+//! ([`HeapConfig::grow`](crate::config::HeapConfig::grow)): a class denied
+//! at its full size spills to a dedicated mapping instead of returning
+//! null, and `DIEHARD_GROW=0` means born full but still spilling.
 
 /// Largest accepted `DIEHARD_GROW` exponent: a class starting at `1/2^63`
 /// of its maximum is already a degenerate single-doubling ladder, and the
@@ -38,6 +43,11 @@
 /// — `DIEHARD_GROW=4294967296` used to truncate through `as u32` to `0`,
 /// silently meaning "start at full size".
 pub const MAX_GROW_LOG2: u32 = 63;
+
+/// Default `DIEHARD_GROW`: classes begin at 1/16 of their configured
+/// maximum — small enough that an interposed `cat` does not fault in twelve
+/// full regions, large enough that typical programs never grow at all.
+pub const DEFAULT_GROW_LOG2: u32 = 4;
 
 /// Default `DIEHARD_REGION_MB`: 32 MB per class, the paper's 384 MB heap.
 pub const DEFAULT_REGION_MB: u64 = 32;
@@ -64,15 +74,21 @@ pub fn parse_u64(bytes: &[u8]) -> Option<u64> {
 }
 
 /// Parses a `DIEHARD_GROW` value: strict decimal, then clamped to
-/// [`MAX_GROW_LOG2`]. Malformed input is `None` (elastic mode stays off).
+/// [`MAX_GROW_LOG2`]. Malformed input is `None` (the reader then falls
+/// back to [`DEFAULT_GROW_LOG2`]).
 #[must_use]
 pub fn parse_grow(bytes: &[u8]) -> Option<u32> {
-    parse_u64(bytes).map(|g| g.min(u64::from(MAX_GROW_LOG2)) as u32)
+    parse_u64(bytes).map(clamp_grow)
+}
+
+/// The one `DIEHARD_GROW` clamp, shared by the parser and the reader.
+fn clamp_grow(g: u64) -> u32 {
+    g.min(u64::from(MAX_GROW_LOG2)) as u32
 }
 
 #[cfg(all(feature = "global", unix))]
 mod readers {
-    use super::{parse_u64, DEFAULT_MULTIPLIER, DEFAULT_REGION_MB, MAX_GROW_LOG2};
+    use super::{clamp_grow, parse_u64, DEFAULT_GROW_LOG2, DEFAULT_MULTIPLIER, DEFAULT_REGION_MB};
 
     /// Longest value worth reading: `u64::MAX` has 20 digits; anything
     /// longer is out of range (or has leading zeros past any sane use) and
@@ -81,7 +97,7 @@ mod readers {
 
     /// Reads environment variable `name` (NUL-terminated literal) as a
     /// strict decimal `u64` without allocating. `None` when unset,
-    /// malformed, or longer than [`VALUE_MAX`] bytes.
+    /// malformed, or longer than 20 bytes (`u64::MAX` has 20 digits).
     #[must_use]
     pub fn read_u64(name: &'static str) -> Option<u64> {
         debug_assert!(name.ends_with('\0'), "env names must be NUL-terminated");
@@ -115,11 +131,12 @@ mod readers {
         read_u64("DIEHARD_SEED\0")
     }
 
-    /// `DIEHARD_GROW`: the elastic start-fraction exponent, clamped to
-    /// [`MAX_GROW_LOG2`]. `None` (unset/malformed) keeps elastic mode off.
+    /// `DIEHARD_GROW`: the elastic start-fraction exponent, default
+    /// [`DEFAULT_GROW_LOG2`], clamped to
+    /// [`MAX_GROW_LOG2`](super::MAX_GROW_LOG2).
     #[must_use]
-    pub fn grow() -> Option<u32> {
-        read_u64("DIEHARD_GROW\0").map(|g| g.min(u64::from(MAX_GROW_LOG2)) as u32)
+    pub fn grow() -> u32 {
+        read_u64("DIEHARD_GROW\0").map_or(DEFAULT_GROW_LOG2, clamp_grow)
     }
 
     /// `DIEHARD_REGION_MB`: per-class region megabytes, default
@@ -208,6 +225,7 @@ mod tests {
             // These names are never set by the test harness.
             assert_eq!(region_mb(), DEFAULT_REGION_MB);
             assert_eq!(multiplier(), DEFAULT_MULTIPLIER);
+            assert_eq!(grow(), DEFAULT_GROW_LOG2);
         }
     }
 }

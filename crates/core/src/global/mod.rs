@@ -23,32 +23,38 @@
 //! a ticket counter enforcing the `1/M` cap; magazine refills and free
 //! flushes are lock-free batches of the same atomics. Each size class keeps
 //! one *maintenance* `SpinLock` for growth, reservation teardown and `fork`;
-//! the large-object validity tables have a separate lock of their own.
+//! the large-object validity table has a separate lock of its own.
 //!
-//! Environment knobs (read once, at first allocation; ignored when the
-//! allocator was built with [`DieHard::with_config`]):
+//! Growth is a [`HeapConfig::grow`] field. With `None` (the paper's fixed
+//! heap) regions are born at full capacity and a class at its `1/M` cap
+//! returns null. With `Some(k)` (§9's adaptive growth, concurrent) each
+//! class's *active* capacity starts at `1/2^k` of its configured maximum
+//! and doubles under `1/M`-cap pressure; offsets never move — the full
+//! virtual span is reserved up front and only the probing range widens —
+//! and a class denied at its *maximum* capacity spills the request to a
+//! dedicated guard-paged mapping instead of returning null.
+//!
+//! [`DieHard::new`] reads its configuration from the environment once, at
+//! first allocation ([`crate::env`] has the parsing contract);
+//! [`DieHard::with_config`] ignores the environment entirely:
 //!
 //! * `DIEHARD_SEED` — decimal RNG seed (default: true randomness).
 //! * `DIEHARD_REGION_MB` — per-class region megabytes (default 32, i.e. the
 //!   paper's 384 MB heap).
 //! * `DIEHARD_M` — integer expansion factor `M` (default 2).
-//! * `DIEHARD_GROW` — elastic mode (§9's adaptive growth, concurrent):
-//!   each class's *active* capacity starts at `1/2^value` of its configured
-//!   maximum (e.g. `6` → 1/64) and doubles under `1/M`-cap pressure.
-//!   Offsets never move — the full virtual span is reserved up front and
-//!   only the probing range widens. A class denied at its *maximum*
-//!   capacity spills the request to a dedicated guard-paged mapping
-//!   instead of returning null. Unset (the default) keeps the fixed-size
-//!   behavior: regions are born at full capacity and exhaustion is null.
+//! * `DIEHARD_GROW` — the elastic start exponent `k` (default 4, i.e. 1/16).
+//!   An environment-configured heap is always elastic: `malloc` returning
+//!   null for a class-cap reason (rather than true OOM) would fail host
+//!   programs the paper promises to keep running.
 //!
 //! ## Unsafe-surface audit (2026-08, stable toolchain, lock-free fast path)
 //!
-//! This module, [`sys`], and [`tls`] are the crate's `unsafe` *syscall and
-//! TLS* surface, which is why the subtree sits behind the off-by-default
-//! `global` cargo feature; the allocation-free synchronization primitives it
-//! builds on live ungated in [`crate::sync`], and the lock-free slot-state
-//! machine itself lives ungated in [`crate::bitmap`] /
-//! [`crate::partition`] / [`crate::magazine`]. Findings, kept current as
+//! This module and its private `sys` and `tls` submodules are the crate's
+//! `unsafe` *syscall and TLS* surface, which is why the subtree sits behind
+//! the off-by-default `global` cargo feature; the allocation-free
+//! synchronization primitives it builds on live ungated in [`crate::sync`],
+//! and the lock-free slot-state machine itself lives ungated in
+//! [`crate::bitmap`] / [`crate::partition`] / [`crate::magazine`]. Findings, kept current as
 //! the module changes:
 //!
 //! * **No `static mut` anywhere.** Allocator state is a once-initialized
@@ -88,7 +94,7 @@
 //! * **Lazily-initialized, never self-allocating.** Exactly one thread runs
 //!   initialization (losers of the `OnceCell` race spin without parking —
 //!   parking may allocate and re-enter the allocator being initialized);
-//!   metadata (the slot-state maps and the large-object validity tables)
+//!   metadata (the slot-state maps and the large-object validity table)
 //!   lives in a dedicated mapping, so initialization cannot recurse.
 //!   A failed initialization (OOM, invalid config) is terminal: later calls
 //!   return null instead of retrying `mmap` storms.
@@ -101,7 +107,7 @@
 //!   by a live `&GlobalState` resolves the id through a registry whose
 //!   lock is held across the flush and across `Drop`'s unregistration, so
 //!   a dropped heap is either flushed-before-freed or discarded — never
-//!   dereferenced (full protocol in [`tls`]'s module docs). Corollary: a
+//!   dereferenced (full protocol in the `tls` submodule's docs). Corollary: a
 //!   `DieHard` value must not be moved after its first allocation (the
 //!   registry pins its interior address); statics never move, and test
 //!   instances move only while uninitialized.
@@ -114,7 +120,7 @@
 //!   slot) is documented and tested in [`crate::bitmap`] and
 //!   [`crate::magazine`].
 //! * **`madvise(MADV_HUGEPAGE)` is advice, not a new obligation.** The one
-//!   new syscall this revision adds ([`sys::advise_hugepages`], issued on
+//!   new syscall this revision adds (`sys::advise_hugepages`, issued on
 //!   the small-object span at init and on each large-object mapping) is
 //!   non-destructive by specification: it can neither unmap, move, nor
 //!   zero the range, so its failure mode is "nothing happens" and the
@@ -138,37 +144,27 @@ pub use crate::sync::{OnceCell, SpinGuard, SpinLock};
 use crate::config::HeapConfig;
 use crate::engine::{AllocOutcome, HeapStats};
 use crate::large::LargeTable;
-use crate::magazine::MagazineHeap;
 use crate::rng::entropy_seed;
 use crate::safe_str;
+use crate::sharded::ShardedHeap;
 use core::alloc::{GlobalAlloc, Layout};
 use core::ptr;
 use core::sync::atomic::{AtomicU8, Ordering};
 
-/// Capacity of the large-object validity tables (live large objects).
+/// Capacity of the large-object validity table (live large objects).
 const LARGE_CAPACITY: usize = 4096;
-
-/// The large-object validity tables (§4.1/§4.3), guarded by one lock that
-/// is disjoint from every small-object shard.
-struct LargeObjects {
-    /// user pointer → mapping base (differs from the user pointer by the
-    /// front guard page and any extra alignment padding).
-    base: LargeTable,
-    /// user pointer → total mapping length (guards included).
-    len: LargeTable,
-}
 
 /// Magazine engagement states for [`GlobalState::mag_state`].
 const MAG_UNDECIDED: u8 = 0;
 const MAG_ON: u8 = 1;
 const MAG_OFF: u8 = 2;
 
-/// The state behind an initialized allocator: the lock-free header fields
-/// plus the two locked domains (small-object shards, large-object tables).
+/// The state behind an initialized allocator: the lock-free header fields,
+/// the small-object heap and the locked large-object table.
 struct GlobalState {
-    /// Twelve independently-locked partition shards + reserved overlays +
-    /// atomic stats (the magazine-capable heap).
-    heap: MagazineHeap,
+    /// Twelve lock-free partition shards + atomic stats; threads reach it
+    /// through their magazines.
+    heap: ShardedHeap,
     /// Base address of the small-object span. Written once at init, then
     /// read-only.
     heap_base: *mut u8,
@@ -181,11 +177,10 @@ struct GlobalState {
     /// address inside the `OnceCell`), then on, or off when the registry is
     /// full (the heap runs uncached — correct, just unbatched).
     mag_state: AtomicU8,
-    /// Whether the heap is elastic: classes grow on demand and a denial at
-    /// the maximum capacity spills to a dedicated mapping instead of
-    /// returning null. Written once at init, then read-only.
-    elastic: bool,
-    large: SpinLock<LargeObjects>,
+    /// The large-object validity table (§4.1/§4.3): user pointer → user
+    /// length. Each mapping is exactly `[user - page, user + len + page)`,
+    /// one guard page on either end, so the length alone recovers it.
+    large: SpinLock<LargeTable>,
 }
 
 // SAFETY: `heap_base` and `page` are written once before the enclosing
@@ -196,12 +191,20 @@ struct GlobalState {
 unsafe impl Send for GlobalState {}
 unsafe impl Sync for GlobalState {}
 
+impl GlobalState {
+    /// `ptr`'s offset into the small-object span, or `None` outside it.
+    fn small_offset(&self, ptr: *mut u8) -> Option<usize> {
+        let off = (ptr as usize).wrapping_sub(self.heap_base as usize);
+        (off < self.heap.heap_span()).then_some(off)
+    }
+}
+
 impl core::fmt::Debug for GlobalState {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("GlobalState")
             .field("heap_base", &self.heap_base)
             .field("live_objects", &self.heap.live_objects())
-            .field("large_objects", &self.large.lock().len.len())
+            .field("large_objects", &self.large.lock().len())
             .finish()
     }
 }
@@ -214,13 +217,9 @@ impl core::fmt::Debug for GlobalState {
 #[derive(Debug)]
 pub struct DieHard {
     state: OnceCell<GlobalState>,
-    fixed_seed: Option<u64>,
-    fixed_config: Option<HeapConfig>,
-    fixed_grow: Option<u32>,
-    /// Elastic fraction to fall back to when `DIEHARD_GROW` is unset —
-    /// only consulted by env-configured allocators
-    /// ([`elastic_from_env`](Self::elastic_from_env)).
-    default_grow: Option<u32>,
+    /// Configuration and seed from [`with_config`](Self::with_config);
+    /// `None` reads both from the environment at initialization.
+    fixed: Option<(HeapConfig, u64)>,
     /// Address of the `GlobalState` whose locks
     /// [`fork_prepare`](Self::fork_prepare) acquired (0 = registry only):
     /// [`fork_resume`](Self::fork_resume) must release exactly that set,
@@ -229,35 +228,21 @@ pub struct DieHard {
 }
 
 impl DieHard {
-    /// Creates an uninitialized allocator; usable in `static` items.
+    /// Creates an uninitialized allocator configured from the `DIEHARD_*`
+    /// environment knobs at its first allocation (see the module docs);
+    /// usable in `static` items. The resulting heap is elastic.
     #[must_use]
     pub const fn new() -> Self {
         Self {
             state: OnceCell::new(),
-            fixed_seed: None,
-            fixed_config: None,
-            fixed_grow: None,
-            default_grow: None,
+            fixed: None,
             fork_locked: core::sync::atomic::AtomicUsize::new(0),
         }
     }
 
-    /// As [`new`](Self::new) but with a fixed RNG seed — deterministic
-    /// layouts for tests and debugging (heap differencing, §9).
-    #[must_use]
-    pub const fn with_seed(seed: u64) -> Self {
-        Self {
-            state: OnceCell::new(),
-            fixed_seed: Some(seed),
-            fixed_config: None,
-            fixed_grow: None,
-            default_grow: None,
-            fork_locked: core::sync::atomic::AtomicUsize::new(0),
-        }
-    }
-
-    /// As [`with_seed`](Self::with_seed) but with an explicit heap
-    /// configuration, bypassing the `DIEHARD_*` environment knobs entirely.
+    /// As [`new`](Self::new) but with an explicit heap configuration and
+    /// RNG seed, bypassing the environment entirely — deterministic
+    /// layouts, fixed or elastic per [`HeapConfig::grow`].
     ///
     /// This is the constructor tests should use: configuring instances
     /// directly keeps parallel tests isolated, where mutating process-global
@@ -268,53 +253,7 @@ impl DieHard {
     pub const fn with_config(config: HeapConfig, seed: u64) -> Self {
         Self {
             state: OnceCell::new(),
-            fixed_seed: Some(seed),
-            fixed_config: Some(config),
-            fixed_grow: None,
-            default_grow: None,
-            fork_locked: core::sync::atomic::AtomicUsize::new(0),
-        }
-    }
-
-    /// As [`with_config`](Self::with_config) but **elastic**: every class
-    /// starts at `1/2^initial_fraction_log2` of its configured maximum
-    /// capacity, doubles under `1/M`-cap pressure, and — once denied at the
-    /// maximum — spills the request to a dedicated guard-paged mapping
-    /// instead of returning null. The `DIEHARD_GROW` environment knob is
-    /// this constructor's env-driven equivalent for allocators built with
-    /// [`new`](Self::new).
-    #[must_use]
-    pub const fn with_elastic_config(
-        config: HeapConfig,
-        seed: u64,
-        initial_fraction_log2: u32,
-    ) -> Self {
-        Self {
-            state: OnceCell::new(),
-            fixed_seed: Some(seed),
-            fixed_config: Some(config),
-            fixed_grow: Some(initial_fraction_log2),
-            default_grow: None,
-            fork_locked: core::sync::atomic::AtomicUsize::new(0),
-        }
-    }
-
-    /// As [`new`](Self::new) — fully environment-configured — but
-    /// **elastic by default**: when `DIEHARD_GROW` is unset, classes start
-    /// at `1/2^default_fraction_log2` of their maximum and a denial at full
-    /// size spills to a dedicated mapping instead of returning null. A set
-    /// `DIEHARD_GROW` still wins. This is the constructor for the
-    /// `LD_PRELOAD` interposer, where `malloc` returning null for a
-    /// class-cap reason (rather than true OOM) would fail host programs the
-    /// paper promises to keep running.
-    #[must_use]
-    pub const fn elastic_from_env(default_fraction_log2: u32) -> Self {
-        Self {
-            state: OnceCell::new(),
-            fixed_seed: None,
-            fixed_config: None,
-            fixed_grow: None,
-            default_grow: Some(default_fraction_log2),
+            fixed: Some((config, seed)),
             fork_locked: core::sync::atomic::AtomicUsize::new(0),
         }
     }
@@ -356,62 +295,93 @@ impl DieHard {
         tls::guarded(|block| f(block.map(|block| ThreadHeap { heap: self, block })))
     }
 
-    /// DieHard's bounded `strcpy` (§4.4): copies the NUL-terminated string
-    /// at `src` to `dest`, clamped to the true remaining space of the heap
-    /// object containing `dest`. Falls back to an ordinary bounded-by-source
-    /// copy when `dest` is not a DieHard heap pointer.
+    /// DieHard's bounded `strcpy` (§4.4): when `dest` lies in a DieHard
+    /// object, the copy is clamped to the object's true remaining space
+    /// ([`remaining_space`](Self::remaining_space)) and always
+    /// NUL-terminated within it; otherwise exact C `strcpy` semantics
+    /// apply.
     ///
-    /// The bound is pure header arithmetic — no shard lock is taken, keeping
-    /// the paper's two-comparisons-cheap contract even under concurrency.
+    /// Small-object bounds are pure header arithmetic — no lock is taken,
+    /// keeping the paper's two-comparisons-cheap contract even under
+    /// concurrency; large objects cost one validity-table probe.
     ///
     /// Returns the number of payload bytes copied.
     ///
     /// # Safety
     ///
-    /// `src` must point to a NUL-terminated string; `dest` must be valid for
-    /// writes of the computed bound (always true for live DieHard objects).
+    /// `src` must point to a NUL-terminated string; for destinations
+    /// outside the heap, `dest` must have room for the whole string, exactly
+    /// as C requires.
     pub unsafe fn strcpy(&self, dest: *mut u8, src: *const u8) -> usize {
         // SAFETY: src is NUL-terminated per contract.
-        let src_len = unsafe { c_strlen(src) };
-        let src_slice = unsafe { core::slice::from_raw_parts(src, src_len) };
-
-        let space = self
-            .state
-            .get()
-            .and_then(|state| Self::object_space(state, dest))
-            .unwrap_or(src_len + 1);
-        // SAFETY: dest is valid for `space` bytes: inside the heap that is
-        // the distance to the object end; outside it the caller guarantees
-        // room for the whole string.
-        let dest_slice = unsafe { core::slice::from_raw_parts_mut(dest, space) };
-        safe_str::bounded_strcpy(dest_slice, space, src_slice).copied
+        let len = unsafe { c_strlen(src) };
+        // SAFETY: the source slice covers exactly the scanned bytes.
+        let src_slice = unsafe { core::slice::from_raw_parts(src, len) };
+        match self.remaining_space(dest) {
+            Some(space) => {
+                // SAFETY: the DieHard object has `space` writable bytes at
+                // dest.
+                let dest_slice = unsafe { core::slice::from_raw_parts_mut(dest, space) };
+                safe_str::bounded_strcpy(dest_slice, space, src_slice).copied
+            }
+            None => {
+                // SAFETY: C contract — dest holds len + 1 bytes.
+                unsafe {
+                    ptr::copy_nonoverlapping(src, dest, len);
+                    *dest.add(len) = 0;
+                }
+                len
+            }
+        }
     }
 
-    /// DieHard's bounded `strncpy` (§4.4): the caller's `n` is clamped by
-    /// the true object bound.
+    /// DieHard's bounded `strncpy` (§4.4): the caller's `n` is additionally
+    /// clamped by the destination object's true remaining space, and (the
+    /// paper's deliberate deviation) the result is always NUL-terminated
+    /// *within the object*; zero-padding stops at the object bound too.
+    /// Destinations outside the heap get exact C semantics — copy
+    /// `min(strlen, n)` bytes and zero-pad to `n`, with no terminator
+    /// beyond that.
+    ///
+    /// Returns the number of payload bytes copied.
     ///
     /// # Safety
     ///
-    /// As [`strcpy`](Self::strcpy); `src` must be valid for `n` bytes or up
-    /// to its NUL terminator, whichever comes first.
+    /// `src` must be readable up to `n` bytes or its NUL terminator,
+    /// whichever comes first; for destinations outside the heap, `dest`
+    /// must hold `n` bytes, exactly as C requires.
     pub unsafe fn strncpy(&self, dest: *mut u8, src: *const u8, n: usize) -> usize {
-        // SAFETY: per contract.
-        let src_len = unsafe { c_strlen_bounded(src, n) };
-        let src_slice = unsafe { core::slice::from_raw_parts(src, src_len) };
-        let space = self
-            .state
-            .get()
-            .and_then(|state| Self::object_space(state, dest))
-            .unwrap_or_else(|| n.max(src_len + 1));
-        // SAFETY: as in `strcpy`.
-        let dest_slice = unsafe { core::slice::from_raw_parts_mut(dest, space) };
-        safe_str::bounded_strncpy(dest_slice, space, src_slice, n).copied
+        // SAFETY: src is readable to n or NUL per contract.
+        let len = unsafe { c_strlen_bounded(src, n) };
+        // SAFETY: the source slice covers exactly the scanned bytes.
+        let src_slice = unsafe { core::slice::from_raw_parts(src, len) };
+        match self.remaining_space(dest) {
+            Some(space) => {
+                // SAFETY: the DieHard object has `space` writable bytes at
+                // dest.
+                let dest_slice = unsafe { core::slice::from_raw_parts_mut(dest, space) };
+                let copied = safe_str::bounded_strncpy(dest_slice, space, src_slice, n).copied;
+                // C zero-pads through byte n - 1; clamp that to the object.
+                // (Byte `copied` already holds the bounded terminator.)
+                let pad_end = n.min(space);
+                dest_slice[copied..pad_end].fill(0);
+                copied
+            }
+            None => {
+                // SAFETY: C contract — dest holds n bytes, and len <= n.
+                unsafe {
+                    ptr::copy_nonoverlapping(src, dest, len);
+                    ptr::write_bytes(dest.add(len), 0, n - len);
+                }
+                len
+            }
+        }
     }
 
-    /// Live small objects currently tracked (diagnostics; locks each shard
-    /// briefly in turn). Flushes the calling thread's magazine first so the
-    /// count reflects this thread's buffered frees; slots reserved inside
-    /// other threads' magazines are excluded (they are not live).
+    /// Live small objects currently tracked (diagnostics; lock-free reads).
+    /// Flushes the calling thread's magazine first so the count reflects
+    /// this thread's buffered frees; slots reserved inside other threads'
+    /// magazines are excluded (they are not live).
     #[must_use]
     pub fn live_objects(&self) -> usize {
         self.flush_thread_cache();
@@ -461,54 +431,34 @@ impl DieHard {
     /// flushes — the slot is genuinely not reusable before then.
     #[must_use]
     pub fn usable_size(&self, ptr: *mut u8) -> usize {
-        let Some(state) = self.state.get() else {
+        let Some(state) = self.state.get().filter(|_| !ptr.is_null()) else {
             return 0;
         };
-        if ptr.is_null() {
-            return 0;
-        }
-        let base = state.heap_base as usize;
-        let addr = ptr as usize;
-        if addr >= base && addr < base + state.heap.heap_span() {
-            let off = addr - base;
-            return match state.heap.slot_containing(off) {
+        match state.small_offset(ptr) {
+            Some(off) => match state.heap.slot_containing(off) {
                 Some(slot) if state.heap.offset_of(slot) == off && state.heap.is_live_at(off) => {
                     slot.size()
                 }
                 _ => 0,
-            };
+            },
+            None => state.large.lock().get(ptr as usize).unwrap_or(0),
         }
-        let large = state.large.lock();
-        let (Some(total), Some(map_base)) = (large.len.get(addr), large.base.get(addr)) else {
-            return 0;
-        };
-        // The mapping is [map_base .. map_base + total): front guard (plus
-        // any alignment padding), the user range, then exactly one tail
-        // guard page (`alloc_large` trims any alignment excess off the
-        // tail), so the user range ends one page before the mapping does.
-        total - (addr - map_base) - state.page
     }
 
     /// Bytes from `ptr` to the end of the object containing it — the §4.4
     /// clamp bound, valid for *interior* pointers too (unlike
     /// [`usable_size`](Self::usable_size)). `None` when `ptr` is not inside
     /// a DieHard object; small-object answers are pure arithmetic (no
-    /// liveness check, matching [`strcpy`](Self::strcpy)'s bound), large
-    /// ones resolve exact-start pointers through the validity tables
-    /// (interior large pointers are not resolvable — the mapping's own
-    /// guard pages bound those).
+    /// liveness check, matching the paper's bound), large ones resolve
+    /// exact-start pointers through the validity table (interior large
+    /// pointers are not resolvable — the mapping's own guard pages bound
+    /// those).
     #[must_use]
     pub fn remaining_space(&self, ptr: *mut u8) -> Option<usize> {
-        let state = self.state.get()?;
-        if ptr.is_null() {
-            return None;
-        }
-        match Self::object_space(state, ptr) {
-            Some(space) => Some(space),
-            None => {
-                let size = self.usable_size(ptr);
-                (size != 0).then_some(size)
-            }
+        let state = self.state.get().filter(|_| !ptr.is_null())?;
+        match state.small_offset(ptr) {
+            Some(off) => safe_str::space_in_object(state.heap.geometry(), off),
+            None => state.large.lock().get(ptr as usize),
         }
     }
 
@@ -580,37 +530,26 @@ impl DieHard {
 
     /// The one-time initialization: choose a configuration and seed, map the
     /// metadata arena and the heap span, and assemble the sharded heap plus
-    /// large-object tables. Runs on exactly one thread.
+    /// the large-object table. Runs on exactly one thread.
     #[cold]
     fn build_state(&self) -> Option<GlobalState> {
-        let config = match &self.fixed_config {
-            Some(config) => config.clone(),
-            None => HeapConfig::paper_default()
-                .with_region_bytes((crate::env::region_mb() as usize) << 20)
-                .with_multiplier(crate::env::multiplier() as f64),
+        let (config, seed) = match &self.fixed {
+            Some((config, seed)) => (config.clone(), *seed),
+            None => (
+                HeapConfig::paper_default()
+                    .with_region_bytes((crate::env::region_mb() as usize) << 20)
+                    .with_multiplier(crate::env::multiplier() as f64)
+                    .with_grow(crate::env::grow()),
+                crate::env::seed().unwrap_or_else(entropy_seed),
+            ),
         };
         config.validate().ok()?;
-        let seed = self
-            .fixed_seed
-            .or_else(crate::env::seed)
-            .unwrap_or_else(entropy_seed);
-        // Elastic mode: an explicit constructor choice wins; env-configured
-        // allocators honor DIEHARD_GROW (falling back to the constructor's
-        // default fraction, if any), config-fixed ones ignore the
-        // environment entirely (same isolation contract as the other knobs).
-        let grow = self.fixed_grow.or_else(|| {
-            if self.fixed_config.is_some() {
-                None
-            } else {
-                crate::env::grow().or(self.default_grow)
-            }
-        });
 
         let page = sys::page_size();
         let span = config.heap_span();
-        let words = MagazineHeap::metadata_words_needed(&config);
+        let words = ShardedHeap::bitmap_words_needed(&config);
         let table_cap = (LARGE_CAPACITY * 2).next_power_of_two();
-        let meta_bytes = (words * 8 + 4 * table_cap * 8 + page - 1) & !(page - 1);
+        let meta_bytes = (words * 8 + 2 * table_cap * 8 + page - 1) & !(page - 1);
         let meta = sys::map_reserve(meta_bytes);
         if meta.is_null() {
             return None;
@@ -628,20 +567,11 @@ impl DieHard {
         // issued before the state is published.
         sys::advise_hugepages(heap_base, span);
 
-        let bitmap_words = meta.cast::<u64>();
-        // SAFETY: the meta arena provides `words` zeroed u64s (allocation
-        // bitmaps + reserved overlays) followed by four table arrays of
-        // `table_cap` usizes each; mmap'd memory is zeroed and exclusively
-        // ours.
-        let heap = match grow {
-            // SAFETY: as above — the elastic variant has the identical
-            // metadata footprint (slot maps are max-capacity-sized).
-            Some(fraction) => unsafe {
-                MagazineHeap::from_raw_parts_elastic(config, seed, bitmap_words, fraction)
-            },
-            None => unsafe { MagazineHeap::from_raw_parts(config, seed, bitmap_words) },
-        };
-        let heap = match heap {
+        // SAFETY: the meta arena provides `words` zeroed u64s (the slot-state
+        // maps, sized for the maximum capacity whether or not the heap is
+        // elastic) followed by two table arrays of `table_cap` usizes each;
+        // mmap'd memory is zeroed and exclusively ours.
+        let heap = match unsafe { ShardedHeap::from_raw_parts(config, seed, meta.cast::<u64>()) } {
             Ok(heap) => heap,
             Err(_) => {
                 // SAFETY: both mappings were just created with these lengths
@@ -653,15 +583,10 @@ impl DieHard {
                 return None;
             }
         };
-        let tables = unsafe { meta.add(words * 8).cast::<usize>() };
-        // SAFETY: as above; disjoint quarters of the table area.
-        let base = unsafe { LargeTable::from_storage(tables, tables.add(table_cap), table_cap) };
-        let len = unsafe {
-            LargeTable::from_storage(
-                tables.add(2 * table_cap),
-                tables.add(3 * table_cap),
-                table_cap,
-            )
+        // SAFETY: as above; the two halves of the table area are disjoint.
+        let large = unsafe {
+            let tables = meta.add(words * 8).cast::<usize>();
+            LargeTable::from_storage(tables, tables.add(table_cap), table_cap)
         };
         Some(GlobalState {
             heap,
@@ -669,8 +594,7 @@ impl DieHard {
             page,
             id: tls::allocate_id(),
             mag_state: AtomicU8::new(MAG_UNDECIDED),
-            elastic: grow.is_some(),
-            large: SpinLock::new(LargeObjects { base, len }),
+            large: SpinLock::new(large),
         })
     }
 
@@ -704,18 +628,9 @@ impl DieHard {
         }
     }
 
-    /// Distance from `ptr` to the end of its (small) heap object, when
-    /// `ptr` points into the small-object heap. Pure header arithmetic —
-    /// takes no lock.
-    fn object_space(state: &GlobalState, ptr: *mut u8) -> Option<usize> {
-        let base = state.heap_base as usize;
-        let addr = ptr as usize;
-        if addr < base || addr >= base + state.heap.heap_span() {
-            return None;
-        }
-        safe_str::space_in_object(state.heap.geometry(), addr - base)
-    }
-
+    /// Serves a request from a dedicated mapping with one `PROT_NONE` guard
+    /// page on either end (§4.1): `[user - page, user + len + page)`, where
+    /// `len` is the page-rounded size recorded in the validity table.
     #[cold]
     #[inline(never)]
     fn alloc_large(state: &GlobalState, size: usize, align: usize) -> *mut u8 {
@@ -727,49 +642,48 @@ impl DieHard {
         if base.is_null() {
             return ptr::null_mut();
         }
-        let user = {
+        let map_end = base as usize + total;
+        let user_addr = {
             let candidate = base as usize + page;
-            let aligned = if align > page {
+            if align > page {
                 (candidate + align - 1) & !(align - 1)
             } else {
                 candidate
-            };
-            aligned as *mut u8
+            }
         };
-        let user_addr = user as usize;
-        // Trim any alignment excess off the tail so the user range always
-        // ends exactly one page before the mapping does — that invariant is
-        // what lets `usable_size` recover the user length from the two
-        // table entries alone. (With `align <= page` the excess is zero and
-        // this is a no-op.)
+        // Trim any alignment excess off both ends so exactly one guard page
+        // remains on each side — the invariant that lets the table record
+        // the user length alone. (With `align <= page` both trims are
+        // no-ops.)
+        let front = user_addr - page;
         let tail = user_addr + user_len;
-        let excess = base as usize + total - (tail + page);
-        if excess > 0 {
-            // SAFETY: [tail + page, base + total) is a page-aligned unused
-            // suffix of the fresh mapping; nothing references it.
-            unsafe { sys::unmap((tail + page) as *mut u8, excess) };
-        }
-        let total = tail + page - base as usize;
-        // Guard everything before and after the user range (§4.1: "guard
-        // pages without read or write access on either end").
-        // SAFETY: the ranges are page-aligned and inside the fresh mapping.
+        // SAFETY: [base, front) and [tail + page, map_end) are page-aligned
+        // unused pieces of the fresh mapping; nothing references them.
         unsafe {
-            sys::protect_none(base, user_addr - base as usize);
+            if front > base as usize {
+                sys::unmap(base, front - base as usize);
+            }
+            if map_end > tail + page {
+                sys::unmap((tail + page) as *mut u8, map_end - (tail + page));
+            }
+        }
+        // Guard the pages before and after the user range (§4.1: "guard
+        // pages without read or write access on either end").
+        // SAFETY: both pages are page-aligned and inside the mapping.
+        unsafe {
+            sys::protect_none(front as *mut u8, page);
             sys::protect_none(tail as *mut u8, page);
         }
+        let user = user_addr as *mut u8;
         // Huge-page advice on the user range only (the guards must stay
         // 4 KB mappings); self-gated below 2 MB, best-effort above.
         sys::advise_hugepages(user, user_len);
-        let mut large = state.large.lock();
-        if !large.len.insert(user_addr, total) {
-            drop(large);
+        if !state.large.lock().insert(user_addr, user_len) {
             // Table full: refuse rather than lose track of the mapping.
-            // SAFETY: mapping is unreferenced; release it whole.
-            unsafe { sys::unmap(base, total) };
+            // SAFETY: the mapping is unreferenced; release it whole.
+            unsafe { sys::unmap(front as *mut u8, user_len + 2 * page) };
             return ptr::null_mut();
         }
-        let inserted = large.base.insert(user_addr, base as usize);
-        debug_assert!(inserted, "large tables out of sync");
         user
     }
 }
@@ -857,7 +771,7 @@ impl ThreadHeap<'_> {
             // dedicated guard-paged mapping rather than failing: the pointer
             // frees through the same large-object table an oversized request
             // would use.
-            AllocOutcome::Spill if state.elastic => {
+            AllocOutcome::Spill if state.heap.config().grow.is_some() => {
                 DieHard::alloc_large(state, layout.size().max(1), layout.align())
             }
             AllocOutcome::Spill | AllocOutcome::Unsupported => ptr::null_mut(),
@@ -886,29 +800,25 @@ impl ThreadHeap<'_> {
             }
             return;
         }
-        // Possibly a large object: consult the validity tables; unknown
+        // Possibly a large object: consult the validity table; unknown
         // addresses are ignored ("otherwise, it ignores the request").
-        let (map_base, total) = {
-            let mut large = state.large.lock();
-            let Some(total) = large.len.remove(addr) else {
-                return;
-            };
-            let map_base = large.base.remove(addr).expect("large tables out of sync");
-            (map_base, total)
+        let Some(user_len) = state.large.lock().remove(addr) else {
+            return;
         };
-        // SAFETY: we recorded (map_base, total) when mapping this object and
-        // it has not been released since (the table entry was live); the
-        // lock is already dropped, so the syscall never runs under it.
-        unsafe { sys::unmap(map_base as *mut u8, total) };
+        // SAFETY: `alloc_large` mapped exactly [addr - page, addr + user_len
+        // + page) and recorded `user_len`; the mapping has not been released
+        // since (the table entry was live), and the lock is already dropped,
+        // so the syscall never runs under it.
+        unsafe { sys::unmap((addr - state.page) as *mut u8, user_len + 2 * state.page) };
     }
 }
 
-/// Length of the NUL-terminated string at `p`.
+/// Length of the NUL-terminated string at `p` (C `strlen`).
 ///
 /// # Safety
 ///
 /// `p` must point to a NUL-terminated string.
-unsafe fn c_strlen(p: *const u8) -> usize {
+pub unsafe fn c_strlen(p: *const u8) -> usize {
     let mut n = 0;
     // SAFETY: caller guarantees a terminator exists.
     while unsafe { *p.add(n) } != 0 {
@@ -917,12 +827,12 @@ unsafe fn c_strlen(p: *const u8) -> usize {
     n
 }
 
-/// Length of the string at `p`, scanning at most `max` bytes.
+/// Length of the string at `p`, scanning at most `max` bytes (C `strnlen`).
 ///
 /// # Safety
 ///
 /// `p` must be valid for reads up to `max` bytes or its NUL terminator.
-unsafe fn c_strlen_bounded(p: *const u8, max: usize) -> usize {
+pub unsafe fn c_strlen_bounded(p: *const u8, max: usize) -> usize {
     let mut n = 0;
     // SAFETY: caller guarantees validity up to `max` or the terminator.
     while n < max && unsafe { *p.add(n) } != 0 {
@@ -1049,7 +959,7 @@ mod tests {
     /// pointer, placed or spilled, frees cleanly through the same API.
     #[test]
     fn elastic_heap_grows_then_spills_to_dedicated_mappings() {
-        let heap = DieHard::with_elastic_config(HeapConfig::default(), 0xE1A571C, 6);
+        let heap = DieHard::with_config(HeapConfig::default().with_grow(6), 0xE1A571C);
         let mut ptrs = Vec::new();
         for i in 0..40usize {
             let p = heap.malloc(16 * 1024);
@@ -1069,6 +979,26 @@ mod tests {
         }
         assert_eq!(heap.live_objects(), 0);
         assert_eq!(heap.stats().frees, 32, "spilled frees release mappings");
+    }
+
+    /// `grow = Some(0)`: born at full capacity like the fixed heap, but a
+    /// class denied at its cap spills instead of returning null — the
+    /// 16 KB class places its 32 slots in the span and serves the rest
+    /// from dedicated mappings. (`exhaustion_returns_null_not_crash` pins
+    /// the `None` side.)
+    #[test]
+    fn grow_zero_is_born_full_but_spills_past_the_cap() {
+        let heap = DieHard::with_config(HeapConfig::default().with_grow(0), 0x5B111);
+        let ptrs: Vec<*mut u8> = (0..40).map(|_| heap.malloc(16 * 1024)).collect();
+        assert!(ptrs.iter().all(|p| !p.is_null()), "past the cap: spill");
+        let stats = heap.stats();
+        assert_eq!(stats.allocs, 32, "the 1/M cap places 32 in the span");
+        assert_eq!(stats.exhausted, 8, "the remaining 8 spilled");
+        for p in ptrs {
+            heap.free(p);
+        }
+        assert_eq!(heap.live_objects(), 0);
+        assert_eq!(heap.stats().frees, 32);
     }
 
     #[test]
@@ -1115,6 +1045,53 @@ mod tests {
         // SAFETY: dst is live; src NUL-terminated.
         let copied = unsafe { heap.strncpy(dst, src.as_ptr(), 100) };
         assert_eq!(copied, 7);
+        heap.free(dst);
+    }
+
+    /// A destination outside the heap gets exact C `strncpy` semantics: a
+    /// source of at least `n` bytes fills `dest[..n]` and writes nothing at
+    /// `dest[n]` (no terminator past C's contract).
+    #[test]
+    fn strncpy_off_heap_writes_exactly_n_bytes() {
+        let heap = small_test_heap();
+        let _ = heap.malloc(8); // initialize the heap
+        let mut buf = [0xAAu8; 8];
+        // SAFETY: buf holds n = 4 bytes; the source is NUL-terminated.
+        let copied = unsafe { heap.strncpy(buf.as_mut_ptr(), c"abcdef".as_ptr().cast(), 4) };
+        assert_eq!(copied, 4);
+        assert_eq!(&buf[..4], b"abcd");
+        assert_eq!(buf[4], 0xAA, "no byte written at dest[n]");
+        // A short source is zero-padded up to n, and no further.
+        // SAFETY: as above, n = 6.
+        let copied = unsafe { heap.strncpy(buf.as_mut_ptr(), c"xy".as_ptr().cast(), 6) };
+        assert_eq!(copied, 2);
+        assert_eq!(&buf[..7], b"xy\0\0\0\0\xAA");
+    }
+
+    /// Large objects are bounded through the validity table: a string
+    /// longer than the object stops at its page-rounded end (one byte
+    /// before the tail guard page) instead of running into the guard.
+    #[test]
+    fn strcpy_into_large_object_stops_at_its_bound() {
+        let heap = small_test_heap();
+        let dst = heap.malloc(20_000);
+        assert!(!dst.is_null());
+        let bound = heap.remaining_space(dst).expect("large object start");
+        assert!(bound >= 20_000);
+        let mut long = vec![b'q'; 30_000];
+        long.push(0);
+        // SAFETY: dst is a live heap object; src is NUL-terminated.
+        let copied = unsafe { heap.strcpy(dst, long.as_ptr()) };
+        assert_eq!(copied, bound - 1, "clamped to the object");
+        // SAFETY: the object holds `bound` bytes.
+        unsafe { assert_eq!(*dst.add(bound - 1), 0, "terminated in bounds") };
+        // strncpy with a lying n: clamped the same way, zero-padded only up
+        // to the object bound.
+        // SAFETY: as above; src is readable to its terminator.
+        let copied = unsafe { heap.strncpy(dst, c"short".as_ptr().cast(), 1 << 20) };
+        assert_eq!(copied, 5);
+        // SAFETY: the object holds `bound` bytes.
+        unsafe { assert_eq!(*dst.add(bound - 1), 0) };
         heap.free(dst);
     }
 

@@ -166,9 +166,13 @@ impl LargeTable {
         }
     }
 
-    /// Looks up the recorded size for `addr`.
+    /// Looks up the recorded size for `addr`; `None` for the sentinel
+    /// addresses 0 and 1, which no entry can have.
     #[must_use]
     pub fn get(&self, addr: usize) -> Option<usize> {
+        if addr <= TOMBSTONE {
+            return None;
+        }
         let mut i = self.hash(addr);
         loop {
             let k = self.keys.slice()[i];
@@ -184,8 +188,11 @@ impl LargeTable {
 
     /// Removes `addr`, returning its size; `None` when the address was never
     /// returned by the large-object allocator (the caller then ignores the
-    /// free, per §4.3).
+    /// free, per §4.3). The sentinel addresses 0 and 1 are never present.
     pub fn remove(&mut self, addr: usize) -> Option<usize> {
+        if addr <= TOMBSTONE {
+            return None;
+        }
         let mut i = self.hash(addr);
         loop {
             let k = self.keys.slice()[i];
@@ -259,6 +266,25 @@ mod tests {
         assert_eq!(t.get(0x3000), Some(3));
         assert_eq!(t.get(0x4000), Some(4));
         assert_eq!(t.get(0x5000), Some(5));
+    }
+
+    /// A wild pointer equal to a sentinel must not match the empty or
+    /// tombstone markers, or a free of `(void *)1` would get a stale size
+    /// back (and so a stale mapping to unmap).
+    #[test]
+    fn sentinel_addresses_never_match() {
+        let mut t = LargeTable::new(8);
+        let colliding = (2..)
+            .map(|a| a * 4096)
+            .find(|&a| t.hash(a) == t.hash(TOMBSTONE))
+            .unwrap();
+        assert!(t.insert(colliding, 7));
+        assert_eq!(t.remove(colliding), Some(7)); // leaves a tombstone
+        assert_eq!(t.get(TOMBSTONE), None);
+        assert_eq!(t.remove(TOMBSTONE), None);
+        assert_eq!(t.get(EMPTY), None);
+        assert_eq!(t.remove(EMPTY), None);
+        assert_eq!(t.len(), 0);
     }
 
     #[test]

@@ -23,21 +23,23 @@
 //! * [`partition`] — per-class random probing and the `1/M` cap (§4.2),
 //!   with a lock-free `&self` path and a plain `&mut self` path over one
 //!   state.
+//! * [`config`] — [`config::HeapConfig`]: `M`, region size, fill policy,
+//!   and [`config::HeapConfig::grow`], which makes any heap elastic (the
+//!   adaptive-growth variant from future work, §9).
 //! * [`engine`] — [`engine::HeapCore`], `DieHardMalloc`/`DieHardFree` over
-//!   abstract byte offsets, shared by the simulated and real heaps; fixed
-//!   or elastic (the adaptive-growth variant from future work, §9).
+//!   abstract byte offsets, shared by the simulated and real heaps.
 //! * [`large`] — the large-object validity table (§4.1–4.3).
 //! * [`safe_str`] — heap-bounded `strcpy`/`strncpy` (§4.4).
 //! * [`env`](mod@env) — audited parsing for the `DIEHARD_*` environment knobs.
 //! * [`analysis`] — Theorems 1–3 and the expectation formulas (§3.1, §6).
 //! * [`sync`] — allocation-free [`sync::SpinLock`] and [`sync::OnceCell`].
-//! * [`sharded`] — [`sharded::ShardedHeap`], the thread-safe heap: lock-free
-//!   alloc and free over one partition per size class (concurrent
-//!   allocations in different classes never contend).
-//! * [`magazine`] — [`magazine::MagazineHeap`], thread-local allocation
-//!   magazines in front of the sharded heap: batched, probe-loop-sampled
-//!   refills and buffered frees, so same-class allocations from different
-//!   threads stop contending too.
+//! * [`sharded`] — [`sharded::ShardedHeap`], the one thread-safe heap:
+//!   lock-free alloc and free over one partition per size class
+//!   (concurrent allocations in different classes never contend).
+//! * [`magazine`] — the thread-local allocation magazines a
+//!   [`sharded::ShardedHeap::thread_cache`] hands out: batched,
+//!   probe-loop-sampled refills and buffered frees, so same-class
+//!   allocations from different threads stop contending too.
 //! * `global` *(feature `global`, Unix)* — a real `#[global_allocator]`
 //!   built on `mmap`, with guard-paged large objects, sharded per class.
 //!
@@ -80,7 +82,7 @@ pub mod global;
 
 pub use config::{FillPolicy, HeapConfig, HeapGeometry};
 pub use engine::{AllocOutcome, AtomicHeapStats, FreeOutcome, HeapCore, HeapStats, Slot};
-pub use magazine::{MagazineCache, MagazineHeap, ThreadMagazines};
+pub use magazine::{MagazineCache, ThreadMagazines};
 pub use rng::Mwc;
 pub use sharded::ShardedHeap;
 pub use size_class::SizeClass;

@@ -1,12 +1,14 @@
 //! Thread-local allocation magazines in front of the lock-free sharded heap.
 //!
-//! PR 2 sharded the heap per size class and PR 6 made the per-op paths
-//! lock-free, but a thread still pays one CAS-contended probe sequence per
-//! allocation. This module adds the classic magazine layer (Bonwick's
+//! An uncached [`ShardedHeap`] allocation pays one CAS-contended probe
+//! sequence per call. This module is the classic magazine layer (Bonwick's
 //! vmem/slab per-CPU caches, adapted to DieHard's randomized placement):
 //! each thread holds, per size class, a small **magazine** of pre-reserved
 //! slots plus a bounded **free buffer**, so the hot paths touch shared cache
-//! lines once per batch instead of once per operation.
+//! lines once per batch instead of once per operation. There is no separate
+//! heap type: any [`ShardedHeap`] hands out a [`MagazineCache`] through
+//! [`ShardedHeap::thread_cache`], and the global allocator keeps a
+//! [`ThreadMagazines`] per thread in ELF TLS.
 //!
 //! # Preserving the paper's guarantees
 //!
@@ -46,7 +48,8 @@
 //! re-reserved, then clear a reservation it no longer owns). With the paired
 //! encoding every transition is one atomic on one word:
 //!
-//! * free→reserved (`00 → 11`): a CAS inside [`AtomicPartition::reserve_batch`]
+//! * free→reserved (`00 → 11`): a CAS inside
+//!   [`AtomicPartition::reserve_batch`](crate::partition::AtomicPartition::reserve_batch)
 //!   during refill;
 //! * reserved→live (`11 → 01`): one lock-free `fetch_and` on the owning
 //!   thread (the handout — the fast path the whole layer exists for);
@@ -74,11 +77,7 @@
 //! maintenance lock is taken only to grow an elastic class at its cap and
 //! to return a cache's reservations.
 
-use crate::config::{ConfigError, HeapConfig, HeapGeometry};
-use crate::engine::{
-    locate_free, slot_at, slot_offset, AllocOutcome, FreeOutcome, HeapStats, Slot,
-};
-use crate::partition::AtomicPartition;
+use crate::engine::{locate_free, AllocOutcome, FreeOutcome, HeapStats, Slot};
 use crate::sharded::ShardedHeap;
 use crate::size_class::{SizeClass, NUM_CLASSES};
 
@@ -97,292 +96,10 @@ fn refill_batch(threshold: usize) -> usize {
     MAG_SLOTS.min((threshold / 8).max(1))
 }
 
-/// A thread-safe DieHard heap that supports thread-local magazine caching.
-///
-/// Structurally this is now just a [`ShardedHeap`] — reservation state lives
-/// inside the shards' paired-bit slot maps — plus the refill/flush batch
-/// logic. All operations take `&self`; threads that want the cached fast
-/// path create a [`MagazineCache`] via [`thread_cache`](Self::thread_cache),
-/// while uncached (`alloc`/`free_at`) calls remain available, are lock-free,
-/// and interleave correctly with cached traffic.
-///
-/// # Examples
-///
-/// ```
-/// use diehard_core::{config::HeapConfig, magazine::MagazineHeap};
-///
-/// let heap = MagazineHeap::new(HeapConfig::default(), 42)?;
-/// let mut cache = heap.thread_cache();
-/// let slot = cache.alloc(100).expect("space available");
-/// let off = heap.offset_of(slot);
-/// assert!(heap.is_live_at(off));
-/// cache.free_at(off);
-/// drop(cache); // flushes buffered frees, returns unhanded reservations
-/// assert_eq!(heap.live_objects(), 0);
-/// assert_eq!(heap.reserved_slots(), 0);
-/// # Ok::<(), diehard_core::config::ConfigError>(())
-/// ```
-#[derive(Debug)]
-pub struct MagazineHeap {
-    heap: ShardedHeap,
-}
-
-impl MagazineHeap {
-    /// Creates an empty magazine-capable heap; placement is driven by the
-    /// same per-class RNG streams as [`ShardedHeap::new`] with this seed.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError`] when the configuration is invalid.
-    pub fn new(config: HeapConfig, seed: u64) -> Result<Self, ConfigError> {
-        Ok(Self {
-            heap: ShardedHeap::new(config, seed)?,
-        })
-    }
-
-    /// As [`new`](Self::new), but elastic: each class starts at
-    /// `1 / 2^initial_fraction_log2` of its maximum capacity and doubles
-    /// under `1/M`-cap pressure (see [`ShardedHeap::new_elastic`]). Refills
-    /// participate in growth: an at-cap refill takes the class maintenance
-    /// lock to grow the class, and only a denial at the maximum capacity
-    /// surfaces as [`AllocOutcome::Spill`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError`] when the configuration is invalid.
-    pub fn new_elastic(
-        config: HeapConfig,
-        seed: u64,
-        initial_fraction_log2: u32,
-    ) -> Result<Self, ConfigError> {
-        Ok(Self {
-            heap: ShardedHeap::new_elastic(config, seed, initial_fraction_log2)?,
-        })
-    }
-
-    /// As [`new`](Self::new), but hosting all metadata in caller-provided
-    /// storage so construction performs no heap allocation — required when
-    /// DieHard itself is the process's global allocator.
-    ///
-    /// # Safety
-    ///
-    /// `words` must point to at least
-    /// [`metadata_words_needed`](Self::metadata_words_needed)`(&config)`
-    /// zeroed `u64`s, valid and exclusively owned for the heap's lifetime.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError`] when the configuration is invalid.
-    pub unsafe fn from_raw_parts(
-        config: HeapConfig,
-        seed: u64,
-        words: *mut u64,
-    ) -> Result<Self, ConfigError> {
-        // SAFETY: forwarded caller contract.
-        Ok(Self {
-            heap: unsafe { ShardedHeap::from_raw_parts(config, seed, words) }?,
-        })
-    }
-
-    /// As [`from_raw_parts`](Self::from_raw_parts) but elastic (see
-    /// [`new_elastic`](Self::new_elastic)). The metadata footprint is
-    /// identical — slot maps are always sized for the maximum capacity.
-    ///
-    /// # Safety
-    ///
-    /// Same contract as [`from_raw_parts`](Self::from_raw_parts).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError`] when the configuration is invalid.
-    pub unsafe fn from_raw_parts_elastic(
-        config: HeapConfig,
-        seed: u64,
-        words: *mut u64,
-        initial_fraction_log2: u32,
-    ) -> Result<Self, ConfigError> {
-        // SAFETY: forwarded caller contract.
-        Ok(Self {
-            heap: unsafe {
-                ShardedHeap::from_raw_parts_elastic(config, seed, words, initial_fraction_log2)
-            }?,
-        })
-    }
-
-    /// Number of `u64` words of metadata storage
-    /// [`from_raw_parts`](Self::from_raw_parts) requires for `config` —
-    /// exactly [`ShardedHeap::bitmap_words_needed`]: the paired slot-state
-    /// maps already encode reservations, so the magazine layer adds **no**
-    /// metadata of its own (the old separate overlay doubled this).
-    #[must_use]
-    pub fn metadata_words_needed(config: &HeapConfig) -> usize {
-        ShardedHeap::bitmap_words_needed(config)
-    }
-
-    /// The heap's configuration (lock-free; immutable).
-    #[must_use]
-    pub fn config(&self) -> &HeapConfig {
-        self.heap.config()
-    }
-
-    /// The heap's precomputed shift/mask geometry (lock-free; immutable).
-    #[must_use]
-    #[inline]
-    pub fn geometry(&self) -> &HeapGeometry {
-        self.heap.geometry()
-    }
-
-    /// Counters since construction (lock-free snapshot). A thread's cached
-    /// handouts, like its frees, count here from its next refill or flush
-    /// (or [`MagazineCache::fold_stats`]).
-    #[must_use]
-    pub fn stats(&self) -> HeapStats {
-        self.heap.stats()
-    }
-
-    /// Bytes spanned by the small-object heap.
-    #[must_use]
-    pub fn heap_span(&self) -> usize {
-        self.heap.heap_span()
-    }
-
-    /// Byte offset of `slot` within the heap span (pure arithmetic).
-    #[must_use]
-    #[inline]
-    pub fn offset_of(&self, slot: Slot) -> usize {
-        slot_offset(self.geometry(), slot)
-    }
-
-    /// Resolves a byte offset (any interior pointer) to the slot containing
-    /// it (pure arithmetic).
-    #[must_use]
-    pub fn slot_containing(&self, offset: usize) -> Option<Slot> {
-        slot_at(self.geometry(), offset)
-    }
-
-    /// A thread-local cache over this heap. Dropping the cache flushes its
-    /// buffered frees and returns its unhanded reservations.
-    #[must_use]
-    pub fn thread_cache(&self) -> MagazineCache<'_> {
-        MagazineCache {
-            heap: self,
-            mags: ThreadMagazines::new(),
-        }
-    }
-
-    /// Uncached allocation: identical to [`ShardedHeap::alloc`] — lock-free;
-    /// the probe loop skips reserved slots because their claim loses.
-    pub fn alloc(&self, size: usize) -> Option<Slot> {
-        self.heap.alloc(size)
-    }
-
-    /// Uncached [`alloc`](Self::alloc) with the elastic outcome surfaced
-    /// (see [`ShardedHeap::try_alloc`]): a denial grows the class when the
-    /// heap is elastic and below its maximum, and only a denial at the
-    /// maximum capacity returns [`AllocOutcome::Spill`].
-    pub fn try_alloc(&self, size: usize) -> AllocOutcome {
-        self.heap.try_alloc(size)
-    }
-
-    /// Number of completed per-class doublings since construction, whether
-    /// triggered by uncached allocations or magazine refills.
-    #[must_use]
-    pub fn growth_events(&self) -> u64 {
-        self.heap.growth_events()
-    }
-
-    /// Uncached `DieHardFree` (§4.3), lock-free: validates and frees the
-    /// object at `offset`. A reserved-but-unhanded slot makes the free CAS
-    /// observe `Reserved` and the request is ignored (it is not live — no
-    /// pointer to it was ever returned).
-    pub fn free_at(&self, offset: usize) -> FreeOutcome {
-        self.heap.free_at(offset)
-    }
-
-    /// Whether the object at `offset` is live — one atomic load.
-    /// Reserved-but-unhanded slots report `false`.
-    #[must_use]
-    pub fn is_live_at(&self, offset: usize) -> bool {
-        self.heap.is_live_at(offset)
-    }
-
-    /// Total live objects: partition occupancy minus magazine reservations.
-    /// Exact only when the heap is quiescent (same caveat as
-    /// [`ShardedHeap::live_objects`]).
-    #[must_use]
-    pub fn live_objects(&self) -> usize {
-        SizeClass::all()
-            .map(|c| {
-                let p = self.heap.shard(c);
-                let in_use = p.in_use();
-                in_use - p.reserved_count().min(in_use)
-            })
-            .sum()
-    }
-
-    /// Slots currently reserved inside thread magazines across all classes
-    /// (quiescence caveat as above). Zero once every cache has flushed.
-    #[must_use]
-    pub fn reserved_slots(&self) -> usize {
-        SizeClass::all()
-            .map(|c| self.heap.shard(c).reserved_count())
-            .sum()
-    }
-
-    /// Cumulative probe statistics summed across every shard:
-    /// `(allocations, total probes)`. Magazine refills run the partition's
-    /// own probe loop ([`AtomicPartition::reserve_batch`]), so reservation
-    /// draws count here exactly like direct allocations — the §4.2
-    /// expectation applies to the cached stack unchanged (reserved slots
-    /// hold occupancy at or below the `1/M` cap).
-    #[must_use]
-    pub fn probe_stats(&self) -> (u64, u64) {
-        self.heap.probe_stats()
-    }
-
-    /// Runs `f` against the partition serving `class` — shard-local
-    /// diagnostics, e.g. layout statistics for the sim harness's A/B runs.
-    /// Note the slot-state map includes reserved slots (occupied, not
-    /// live); flush caches first for live-only statistics.
-    pub fn with_partition<R>(&self, class: SizeClass, f: impl FnOnce(&AtomicPartition) -> R) -> R {
-        self.heap.with_partition(class, f)
-    }
-
-    /// Acquires every maintenance lock (`fork(2)` prepare); see
-    /// [`ShardedHeap::lock_all_maintenance`].
-    pub fn lock_all_maintenance(&self) {
-        self.heap.lock_all_maintenance();
-    }
-
-    /// Releases the locks taken by
-    /// [`lock_all_maintenance`](Self::lock_all_maintenance).
-    ///
-    /// # Safety
-    ///
-    /// As [`ShardedHeap::unlock_all_maintenance`]: the locks must be held
-    /// via `lock_all_maintenance`.
-    pub unsafe fn unlock_all_maintenance(&self) {
-        // SAFETY: forwarded caller contract.
-        unsafe { self.heap.unlock_all_maintenance() };
-    }
-
-    // ---- cache back end --------------------------------------------------
-
-    /// Returns unhanded reservations to their shard (no stats: they were
-    /// never allocations). Holds the maintenance lock, so `fork(2)`
-    /// preparation never catches a teardown half done.
-    fn return_reservations(&self, class: SizeClass, slots: &[usize]) {
-        if slots.is_empty() {
-            return;
-        }
-        let shard = self.heap.shard(class);
-        let _batch = self.heap.maintenance_lock(class).lock();
-        for &index in slots {
-            let was_reserved = shard.release_reservation(index);
-            debug_assert!(was_reserved, "returned slot {index} was not reserved");
-        }
-    }
-}
+/// The magazine layer is a [`ShardedHeap`] with a
+/// [`thread_cache`](ShardedHeap::thread_cache); this alias survives only
+/// because the benchmark's layer probe (`perfbench/driver`) still names it.
+pub type MagazineHeap = ShardedHeap;
 
 /// Outcome of a cached free: either queued for a batched release or
 /// resolved immediately by the lock-free span/alignment validation.
@@ -454,7 +171,7 @@ impl ThreadMagazines {
     /// `heap` when empty. Returns `None` for zero/oversized requests or when
     /// the class is at its `1/M` cap — each denied request records one
     /// exhaustion, like the uncached path.
-    pub fn alloc(&mut self, heap: &MagazineHeap, size: usize) -> Option<Slot> {
+    pub fn alloc(&mut self, heap: &ShardedHeap, size: usize) -> Option<Slot> {
         self.try_alloc(heap, size).placed()
     }
 
@@ -464,10 +181,10 @@ impl ThreadMagazines {
     /// is [`AllocOutcome::Spill`]. On an elastic heap the refill has already
     /// grown the class to its maximum before reporting empty, so `Spill`
     /// always means "the `1/M` cap at full size", exactly like the uncached
-    /// [`MagazineHeap::try_alloc`]. A hit is one `fetch_and` (the
+    /// [`ShardedHeap::try_alloc`]. A hit is one `fetch_and` (the
     /// reserved→live commit) and no other atomic.
     #[inline]
-    pub fn try_alloc(&mut self, heap: &MagazineHeap, size: usize) -> AllocOutcome {
+    pub fn try_alloc(&mut self, heap: &ShardedHeap, size: usize) -> AllocOutcome {
         let Some(class) = SizeClass::for_size(size) else {
             return AllocOutcome::Unsupported;
         };
@@ -478,7 +195,7 @@ impl ThreadMagazines {
         let index = cache.mag[cache.head];
         cache.head += 1;
         cache.len -= 1;
-        heap.heap.shard(class).commit(index);
+        heap.shard(class).commit(index);
         self.pending.allocs += 1;
         AllocOutcome::Placed(Slot { class, index })
     }
@@ -489,13 +206,13 @@ impl ThreadMagazines {
     /// the class is full at its *maximum* capacity: a spill, one exhaustion.
     #[cold]
     #[inline(never)]
-    fn refill(&mut self, heap: &MagazineHeap, class: SizeClass) -> bool {
-        let shard = heap.heap.shard(class);
+    fn refill(&mut self, heap: &ShardedHeap, class: SizeClass) -> bool {
+        let shard = heap.shard(class);
         let cache = &mut self.classes[class.index()];
         let drawn = loop {
             let want = refill_batch(shard.threshold());
             let got = shard.reserve_batch(&mut cache.mag[..want]);
-            if got > 0 || !heap.heap.grow_class(class) {
+            if got > 0 || !heap.grow_class(class) {
                 break got;
             }
         };
@@ -513,7 +230,7 @@ impl ThreadMagazines {
     /// misaligned offsets immediately; plausible slots are buffered per
     /// class, and the free that fills a buffer releases the whole batch.
     #[inline]
-    pub fn free_at(&mut self, heap: &MagazineHeap, offset: usize) -> CachedFree {
+    pub fn free_at(&mut self, heap: &ShardedHeap, offset: usize) -> CachedFree {
         let slot = match locate_free(heap.geometry(), offset) {
             Ok(slot) => slot,
             Err(outcome) => {
@@ -539,12 +256,9 @@ impl ThreadMagazines {
     /// go back in one decrement.
     #[cold]
     #[inline(never)]
-    fn flush_frees(&mut self, heap: &MagazineHeap, class: SizeClass) {
+    fn flush_frees(&mut self, heap: &ShardedHeap, class: SizeClass) {
         let cache = &mut self.classes[class.index()];
-        let (freed, ignored) = heap
-            .heap
-            .shard(class)
-            .free_batch(&cache.frees[..cache.flen]);
+        let (freed, ignored) = heap.shard(class).free_batch(&cache.frees[..cache.flen]);
         cache.flen = 0;
         self.pending.frees += freed;
         self.pending.ignored_frees += ignored;
@@ -553,16 +267,14 @@ impl ThreadMagazines {
 
     /// Publishes this thread's pending handout/free counters to `heap`'s
     /// statistics without touching its reservations or buffered frees.
-    pub fn fold_stats(&mut self, heap: &MagazineHeap) {
-        heap.heap
-            .stats_ref()
-            .fold(core::mem::take(&mut self.pending));
+    pub fn fold_stats(&mut self, heap: &ShardedHeap) {
+        heap.stats_ref().fold(core::mem::take(&mut self.pending));
     }
 
     /// Flushes everything: buffered frees are released, unhanded
     /// reservations are returned to their shards (no stats) and the pending
     /// counters are folded. The thread-exit path.
-    pub fn flush(&mut self, heap: &MagazineHeap) {
+    pub fn flush(&mut self, heap: &ShardedHeap) {
         for i in 0..NUM_CLASSES {
             let class = SizeClass::from_index(i);
             if self.classes[i].flen > 0 {
@@ -592,16 +304,23 @@ impl Default for ThreadMagazines {
 }
 
 /// A guard coupling a [`ThreadMagazines`] to its heap: the ergonomic façade
-/// for threads using `&MagazineHeap` directly (benches, the sim harness's
+/// for threads using `&ShardedHeap` directly (benches, the sim harness's
 /// A/B runs, tests). Dropping it flushes — the in-process analogue of the
 /// global allocator's thread-exit flush.
 #[derive(Debug)]
 pub struct MagazineCache<'h> {
-    heap: &'h MagazineHeap,
+    heap: &'h ShardedHeap,
     mags: ThreadMagazines,
 }
 
-impl MagazineCache<'_> {
+impl<'h> MagazineCache<'h> {
+    pub(crate) fn new(heap: &'h ShardedHeap) -> Self {
+        Self {
+            heap,
+            mags: ThreadMagazines::new(),
+        }
+    }
+
     /// Allocates `size` bytes through the magazine
     /// (see [`ThreadMagazines::alloc`]).
     pub fn alloc(&mut self, size: usize) -> Option<Slot> {
@@ -643,14 +362,15 @@ impl Drop for MagazineCache<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::HeapConfig;
     use crate::engine::HeapCore;
     use proptest::prelude::*;
     use std::collections::HashMap;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
-    fn heap(seed: u64) -> MagazineHeap {
-        MagazineHeap::new(HeapConfig::default(), seed).unwrap()
+    fn heap(seed: u64) -> ShardedHeap {
+        ShardedHeap::new(HeapConfig::default(), seed).unwrap()
     }
 
     /// For one thread performing only allocations, the magazine serves the
@@ -798,7 +518,7 @@ mod tests {
     fn exhaustion_is_counted_per_denied_request() {
         // 32 KB regions: the 16 KB class has capacity 2, threshold 1.
         let cfg = HeapConfig::default().with_region_bytes(32 * 1024);
-        let h = MagazineHeap::new(cfg, 19).unwrap();
+        let h = ShardedHeap::new(cfg, 19).unwrap();
         let mut cache = h.thread_cache();
         assert!(cache.alloc(16 * 1024).is_some());
         assert!(cache.alloc(16 * 1024).is_none());
@@ -813,7 +533,7 @@ mod tests {
     /// a 1/64 start and spills — not crashes — past the final `1/M` cap.
     #[test]
     fn elastic_refills_grow_then_spill() {
-        let h = MagazineHeap::new_elastic(HeapConfig::default(), 0x1A57, 6).unwrap();
+        let h = ShardedHeap::new(HeapConfig::default().with_grow(6), 0x1A57).unwrap();
         let mut cache = h.thread_cache();
         // 16 KB class: max capacity 64 (threshold 32), starting at 2.
         let mut placed = 0usize;
@@ -838,8 +558,8 @@ mod tests {
     /// exactly the same pressure points and growth consumes no RNG draws.
     #[test]
     fn elastic_alloc_sequence_matches_elastic_sharded() {
-        let mag = MagazineHeap::new_elastic(HeapConfig::default(), 0xE1A5, 6).unwrap();
-        let sharded = ShardedHeap::new_elastic(HeapConfig::default(), 0xE1A5, 6).unwrap();
+        let mag = ShardedHeap::new(HeapConfig::default().with_grow(6), 0xE1A5).unwrap();
+        let sharded = ShardedHeap::new(HeapConfig::default().with_grow(6), 0xE1A5).unwrap();
         let mut cache = mag.thread_cache();
         for i in 0..2000usize {
             let req = 1 + (i * 37) % 1024;

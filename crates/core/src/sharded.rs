@@ -41,6 +41,7 @@ use crate::engine::{
     build_atomic_partitions, build_atomic_partitions_from_storage, locate_free, slot_at,
     slot_offset, AllocOutcome, AtomicHeapStats, FreeOutcome, HeapStats, Slot,
 };
+use crate::magazine::MagazineCache;
 use crate::partition::AtomicPartition;
 use crate::size_class::{SizeClass, NUM_CLASSES};
 use crate::sync::SpinLock;
@@ -51,7 +52,9 @@ use core::sync::atomic::{AtomicU64, Ordering};
 ///
 /// All operations take `&self`; the heap is `Sync` and designed to be
 /// shared across threads (the real global allocator embeds one behind its
-/// once-initialized header).
+/// once-initialized header). Threads that want the batched fast path take a
+/// [`thread_cache`](Self::thread_cache); the magazines' reservations live
+/// in the same slot-state maps, so cached and uncached traffic interleave.
 ///
 /// # Examples
 ///
@@ -88,50 +91,28 @@ impl ShardedHeap {
     /// Creates an empty sharded heap; shard `i` probes with the RNG stream
     /// `stream_seed(seed, i)`, so one master seed reproduces the layout.
     ///
+    /// With [`HeapConfig::grow`] set the heap is *elastic*: each class
+    /// starts at `1/2^k` of its maximum capacity and doubles under
+    /// `1/M`-cap pressure until the maximum, after which
+    /// [`try_alloc`](Self::try_alloc) reports [`AllocOutcome::Spill`]. Slot
+    /// layout is computed against the maximum capacity from day one, so
+    /// growth moves no object and changes no offset arithmetic.
+    ///
     /// # Errors
     ///
     /// Returns [`ConfigError`] when the configuration is invalid.
     pub fn new(config: HeapConfig, seed: u64) -> Result<Self, ConfigError> {
-        Self::from_geometry(HeapGeometry::new(config)?, seed)
-    }
-
-    /// Creates an *elastic* sharded heap: each class starts at
-    /// `1 / 2^initial_fraction_log2` of its maximum capacity and doubles
-    /// lock-free-readably under `1/M`-cap pressure until the maximum, after
-    /// which [`try_alloc`](Self::try_alloc) reports
-    /// [`AllocOutcome::Spill`] instead of hard-failing. Slot layout is
-    /// computed against the maximum capacity from day one, so growth moves
-    /// no object and changes no offset arithmetic.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError`] when the configuration is invalid.
-    pub fn new_elastic(
-        config: HeapConfig,
-        seed: u64,
-        initial_fraction_log2: u32,
-    ) -> Result<Self, ConfigError> {
-        Self::from_geometry(
-            HeapGeometry::new_elastic(config, initial_fraction_log2)?,
-            seed,
-        )
-    }
-
-    fn from_geometry(geometry: HeapGeometry, seed: u64) -> Result<Self, ConfigError> {
+        let geometry = HeapGeometry::new(config)?;
         let shards = build_atomic_partitions(&geometry, seed);
-        Ok(Self {
-            geometry,
-            shards,
-            maintenance: core::array::from_fn(|_| SpinLock::new(())),
-            stats: AtomicHeapStats::new(),
-            growths: AtomicU64::new(0),
-        })
+        Ok(Self::from_shards(geometry, shards))
     }
 
     /// As [`new`](Self::new), but hosting all twelve slot-state maps in
     /// caller-provided storage so that construction performs **no heap
     /// allocation** — required when DieHard itself is the process's global
-    /// allocator (metadata lives in a segregated mmap arena, §4.1).
+    /// allocator (metadata lives in a segregated mmap arena, §4.1). Slot
+    /// maps are always sized for the maximum capacity, so the footprint is
+    /// the same for fixed and elastic heaps.
     ///
     /// # Safety
     ///
@@ -149,46 +130,18 @@ impl ShardedHeap {
     ) -> Result<Self, ConfigError> {
         let geometry = HeapGeometry::new(config)?;
         // SAFETY: forwarded caller contract.
-        unsafe { Self::from_geometry_raw(geometry, seed, bitmap_words) }
-    }
-
-    /// As [`from_raw_parts`](Self::from_raw_parts) but elastic (see [`new_elastic`](Self::new_elastic)).
-    /// The metadata footprint is identical — slot maps are always sized for
-    /// the maximum capacity — so
-    /// [`bitmap_words_needed`](Self::bitmap_words_needed) applies unchanged.
-    ///
-    /// # Safety
-    ///
-    /// Same contract as [`from_raw_parts`](Self::from_raw_parts).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError`] when the configuration is invalid.
-    pub unsafe fn from_raw_parts_elastic(
-        config: HeapConfig,
-        seed: u64,
-        bitmap_words: *mut u64,
-        initial_fraction_log2: u32,
-    ) -> Result<Self, ConfigError> {
-        let geometry = HeapGeometry::new_elastic(config, initial_fraction_log2)?;
-        // SAFETY: forwarded caller contract.
-        unsafe { Self::from_geometry_raw(geometry, seed, bitmap_words) }
-    }
-
-    unsafe fn from_geometry_raw(
-        geometry: HeapGeometry,
-        seed: u64,
-        bitmap_words: *mut u64,
-    ) -> Result<Self, ConfigError> {
-        // SAFETY: forwarded caller contract.
         let shards = unsafe { build_atomic_partitions_from_storage(&geometry, seed, bitmap_words) };
-        Ok(Self {
+        Ok(Self::from_shards(geometry, shards))
+    }
+
+    fn from_shards(geometry: HeapGeometry, shards: [AtomicPartition; NUM_CLASSES]) -> Self {
+        Self {
             geometry,
             shards,
             maintenance: core::array::from_fn(|_| SpinLock::new(())),
             stats: AtomicHeapStats::new(),
             growths: AtomicU64::new(0),
-        })
+        }
     }
 
     /// Number of `u64` words of metadata storage
@@ -214,7 +167,9 @@ impl ShardedHeap {
         &self.geometry
     }
 
-    /// Counters since construction (lock-free snapshot).
+    /// Counters since construction (lock-free snapshot). A thread's cached
+    /// handouts, like its frees, count here from its next refill or flush
+    /// (or [`MagazineCache::fold_stats`]).
     #[must_use]
     pub fn stats(&self) -> HeapStats {
         self.stats.snapshot()
@@ -354,11 +309,56 @@ impl ShardedHeap {
         &self.shards[class.index()]
     }
 
-    /// The slow-path maintenance lock for `class` (growth, reservation
-    /// teardown); the per-op paths, refills and flushes never touch it.
-    #[inline]
-    pub(crate) fn maintenance_lock(&self, class: SizeClass) -> &SpinLock<()> {
-        &self.maintenance[class.index()]
+    /// A thread-local magazine cache over this heap (see
+    /// [`crate::magazine`]). Dropping the cache flushes its buffered frees
+    /// and returns its unhanded reservations. Uncached calls on the heap
+    /// stay available and interleave correctly with cached traffic.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use diehard_core::{config::HeapConfig, sharded::ShardedHeap};
+    ///
+    /// let heap = ShardedHeap::new(HeapConfig::default(), 42)?;
+    /// let mut cache = heap.thread_cache();
+    /// let slot = cache.alloc(100).expect("space available");
+    /// let off = heap.offset_of(slot);
+    /// assert!(heap.is_live_at(off));
+    /// cache.free_at(off);
+    /// drop(cache); // flushes buffered frees, returns unhanded reservations
+    /// assert_eq!(heap.live_objects(), 0);
+    /// assert_eq!(heap.reserved_slots(), 0);
+    /// # Ok::<(), diehard_core::config::ConfigError>(())
+    /// ```
+    #[must_use]
+    pub fn thread_cache(&self) -> MagazineCache<'_> {
+        MagazineCache::new(self)
+    }
+
+    /// Slots currently reserved inside thread magazines across all classes.
+    /// Exact only when the heap is quiescent; zero once every cache has
+    /// flushed.
+    #[must_use]
+    pub fn reserved_slots(&self) -> usize {
+        self.shards
+            .iter()
+            .map(AtomicPartition::reserved_count)
+            .sum()
+    }
+
+    /// Returns a cache's unhanded reservations to their shard (no stats:
+    /// they were never allocations). Holds the maintenance lock, so
+    /// `fork(2)` preparation never catches a teardown half done.
+    pub(crate) fn return_reservations(&self, class: SizeClass, slots: &[usize]) {
+        if slots.is_empty() {
+            return;
+        }
+        let shard = &self.shards[class.index()];
+        let _batch = self.maintenance[class.index()].lock();
+        for &index in slots {
+            let was_reserved = shard.release_reservation(index);
+            debug_assert!(was_reserved, "returned slot {index} was not reserved");
+        }
     }
 
     /// Acquires every per-class maintenance lock, in class-index order —
@@ -405,17 +405,20 @@ impl ShardedHeap {
 
     /// Runs `f` against the partition serving `class` — shard-local
     /// diagnostics. No lock: the partition's own atomics make reads safe,
-    /// with the usual not-a-snapshot caveat under concurrent traffic.
+    /// with the usual not-a-snapshot caveat under concurrent traffic. The
+    /// slot-state map includes magazine-reserved slots (occupied, not
+    /// live); flush caches first for live-only statistics.
     pub fn with_partition<R>(&self, class: SizeClass, f: impl FnOnce(&AtomicPartition) -> R) -> R {
         f(&self.shards[class.index()])
     }
 
-    /// Total occupied objects across all regions (live plus any
-    /// magazine-reserved slots, which count toward `1/M`). Lock-free reads;
-    /// an instantaneous total only when the heap is quiescent.
+    /// Total live objects across all regions: occupancy minus the slots
+    /// reserved in magazines (which count toward `1/M` but were never handed
+    /// out). Lock-free reads; an instantaneous total only when the heap is
+    /// quiescent.
     #[must_use]
     pub fn live_objects(&self) -> usize {
-        self.shards.iter().map(AtomicPartition::in_use).sum()
+        self.shards.iter().map(live_in).sum()
     }
 
     /// Cumulative probe statistics summed across every shard:
@@ -423,8 +426,9 @@ impl ShardedHeap {
     /// [`AtomicPartition::probe_stats`], so §4.2's E\[probes\] = 1/(1 − 1/M)
     /// claim is checkable on the lock-free heap too.
     /// CAS-retry probes are counted exactly like occupied-slot probes (one
-    /// draw = one probe). Exact totals once the threads touching the heap
-    /// are joined.
+    /// draw = one probe), and magazine refills count their draws exactly
+    /// like direct allocations. Exact totals once the threads touching the
+    /// heap are joined.
     #[must_use]
     pub fn probe_stats(&self) -> (u64, u64) {
         self.shards.iter().fold((0, 0), |(allocs, probes), shard| {
@@ -433,15 +437,22 @@ impl ShardedHeap {
         })
     }
 
-    /// Total occupied bytes across all regions (rounded object sizes); same
-    /// quiescence caveat as [`live_objects`](Self::live_objects).
+    /// Total live bytes across all regions (rounded object sizes); same
+    /// reservation and quiescence caveats as
+    /// [`live_objects`](Self::live_objects).
     #[must_use]
     pub fn live_bytes(&self) -> usize {
         self.shards
             .iter()
-            .map(|p| p.in_use() * p.class().object_size())
+            .map(|p| live_in(p) * p.class().object_size())
             .sum()
     }
+}
+
+/// Live objects in one shard: its occupancy minus its reservations.
+fn live_in(shard: &AtomicPartition) -> usize {
+    let in_use = shard.in_use();
+    in_use - shard.reserved_count().min(in_use)
 }
 
 #[cfg(test)]
@@ -618,7 +629,7 @@ mod tests {
         // heap must absorb the full fixed-size workload (32 slots under
         // M = 2) by doubling, then report Spill — not a crash — past the
         // final cap.
-        let h = ShardedHeap::new_elastic(HeapConfig::default(), 0x57A7, 6).unwrap();
+        let h = ShardedHeap::new(HeapConfig::default().with_grow(6), 0x57A7).unwrap();
         let mut placed = 0u64;
         let spilled = loop {
             match h.try_alloc(16 * 1024) {

@@ -9,7 +9,6 @@
 
 use diehard_core::config::{HeapConfig, DEFAULT_INITIAL_FRACTION_LOG2};
 use diehard_core::engine::{AllocOutcome, HeapCore};
-use diehard_core::magazine::MagazineHeap;
 use diehard_core::rng::Mwc;
 use diehard_core::sharded::ShardedHeap;
 use diehard_core::size_class::SizeClass;
@@ -24,7 +23,7 @@ use std::sync::{Arc, Barrier};
 #[test]
 fn heap_started_at_one_64th_absorbs_max_capacity_workload() {
     let config = HeapConfig::default();
-    let heap = ShardedHeap::new_elastic(config.clone(), 0xACCE57, 6).unwrap();
+    let heap = ShardedHeap::new(config.clone().with_grow(6), 0xACCE57).unwrap();
     let mut expected_doublings = 0u64;
     for class in SizeClass::all() {
         let size = class.object_size();
@@ -59,18 +58,16 @@ fn heap_started_at_one_64th_absorbs_max_capacity_workload() {
 
 /// Single-threaded alloc-only histories are bit-identical across all three
 /// layers — the single-owner elastic core, lock-free elastic sharded, and
-/// the elastic magazine stack — at the same seed and start fraction: growth
+/// an elastic sharded heap's magazine cache — at the same seed and start
+/// fraction: growth
 /// triggers at the same pressure points in each and consumes no RNG draws.
 #[test]
 fn single_threaded_histories_identical_across_layers() {
     let seed = 0xD17EC7;
-    let sharded =
-        ShardedHeap::new_elastic(HeapConfig::default(), seed, DEFAULT_INITIAL_FRACTION_LOG2)
-            .unwrap();
-    let mut core =
-        HeapCore::new_elastic(HeapConfig::default(), seed, DEFAULT_INITIAL_FRACTION_LOG2).unwrap();
-    let mag = MagazineHeap::new_elastic(HeapConfig::default(), seed, DEFAULT_INITIAL_FRACTION_LOG2)
-        .unwrap();
+    let config = HeapConfig::default().with_grow(DEFAULT_INITIAL_FRACTION_LOG2);
+    let sharded = ShardedHeap::new(config.clone(), seed).unwrap();
+    let mut core = HeapCore::new(config.clone(), seed).unwrap();
+    let mag = ShardedHeap::new(config, seed).unwrap();
     let mut cache = mag.thread_cache();
     let mut rng = Mwc::seeded(seed ^ 0x5EED);
     for i in 0..4000usize {
@@ -97,11 +94,9 @@ fn single_threaded_histories_identical_across_layers() {
 #[test]
 fn mixed_history_identical_before_and_after_growth() {
     let seed = 0x6F0ED1;
-    let sharded =
-        ShardedHeap::new_elastic(HeapConfig::default(), seed, DEFAULT_INITIAL_FRACTION_LOG2)
-            .unwrap();
-    let mut core =
-        HeapCore::new_elastic(HeapConfig::default(), seed, DEFAULT_INITIAL_FRACTION_LOG2).unwrap();
+    let config = HeapConfig::default().with_grow(DEFAULT_INITIAL_FRACTION_LOG2);
+    let sharded = ShardedHeap::new(config.clone(), seed).unwrap();
+    let mut core = HeapCore::new(config, seed).unwrap();
     let mut rng = Mwc::seeded(seed);
     let mut live: Vec<usize> = Vec::new();
     for i in 0..20_000usize {
@@ -125,12 +120,12 @@ fn mixed_history_identical_before_and_after_growth() {
 }
 
 /// Elastic with fraction 0 *is* the fixed heap: initial == maximum, zero
-/// growth events, and a bit-identical mixed history against `new`.
+/// growth events, and a bit-identical mixed history against `grow = None`.
 #[test]
 fn elastic_fraction_zero_is_bit_identical_to_fixed() {
     let seed = 0xF1DE77;
     let fixed = ShardedHeap::new(HeapConfig::default(), seed).unwrap();
-    let elastic = ShardedHeap::new_elastic(HeapConfig::default(), seed, 0).unwrap();
+    let elastic = ShardedHeap::new(HeapConfig::default().with_grow(0), seed).unwrap();
     let mut rng = Mwc::seeded(seed ^ 1);
     let mut live: Vec<usize> = Vec::new();
     for _ in 0..5000usize {
@@ -159,7 +154,7 @@ fn concurrent_alloc_pressure_grows_exactly_once_per_threshold() {
     const THREADS: u64 = 8;
     let config = HeapConfig::default().with_region_bytes(256 * 1024);
     let class0 = SizeClass::from_index(0);
-    let h = Arc::new(ShardedHeap::new_elastic(config.clone(), 0x6A0E, 6).unwrap());
+    let h = Arc::new(ShardedHeap::new(config.clone().with_grow(6), 0x6A0E).unwrap());
     let attempted = Arc::new(AtomicU64::new(0));
     let served = Arc::new(AtomicU64::new(0));
     // No thread frees until every thread has spilled: with zero frees in
@@ -220,9 +215,9 @@ fn concurrent_alloc_pressure_grows_exactly_once_per_threshold() {
     );
 }
 
-/// Growth racing magazine refills and free-buffer flushes: the refill path
-/// grows the class under the maintenance lock it already holds (the
-/// deadlock-prone re-entry path), spills are counted per denied request,
+/// Growth racing magazine refills and free-buffer flushes: a refill at the
+/// cap grows the class under its maintenance lock (lock-free otherwise),
+/// spills are counted per denied request,
 /// and after every cache flushes the accounting reconciles exactly —
 /// `exhausted == attempted − served`, zero leaked reservations.
 #[test]
@@ -231,7 +226,7 @@ fn magazine_refills_race_growth_and_reconcile() {
     const OPS: usize = 4000;
     const WINDOW: usize = 1500;
     let config = HeapConfig::default().with_region_bytes(128 * 1024);
-    let h = Arc::new(MagazineHeap::new_elastic(config, 0xBEEF6, 6).unwrap());
+    let h = Arc::new(ShardedHeap::new(config.with_grow(6), 0xBEEF6).unwrap());
     let attempted = Arc::new(AtomicU64::new(0));
     let served = Arc::new(AtomicU64::new(0));
 

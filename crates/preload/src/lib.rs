@@ -11,16 +11,15 @@
 //! `posix_memalign`, `aligned_alloc`, `memalign`, `valloc`,
 //! `malloc_usable_size`, `strdup`/`strndup` (duplicated onto the
 //! randomized heap), and the paper's §4.4 bounded `strcpy`/`strncpy`.
-//! Everything is backed by one process-wide
-//! [`DieHard`](diehard_core::global::DieHard) heap built with
-//! [`elastic_from_env`](diehard_core::global::DieHard::elastic_from_env):
-//! classes start at `1/2^4` of their configured maximum and grow under
-//! pressure, and a denial at full size spills to a dedicated guard-paged
-//! mapping — `malloc` returns null only on genuine OOM, never because a
-//! host program outgrew a fixed region. `DIEHARD_SEED`, `DIEHARD_GROW`,
+//! Everything is backed by one process-wide, environment-configured
+//! [`DieHard::new`] heap: `DIEHARD_SEED`, `DIEHARD_GROW`,
 //! `DIEHARD_REGION_MB`, and `DIEHARD_M` are honored via
 //! [`diehard_core::env`]'s audited parsers — the replication launcher's
-//! per-replica `DIEHARD_SEED` lands exactly here.
+//! per-replica `DIEHARD_SEED` lands exactly here. Such a heap is elastic:
+//! classes start at `1/2^4` of their configured maximum by default and grow
+//! under pressure, and a denial at full size spills to a dedicated
+//! guard-paged mapping — `malloc` returns null only on genuine OOM, never
+//! because a host program outgrew a fixed region.
 //!
 //! Unlike `dlsym(RTLD_NEXT)`-style wrappers, this library does **not**
 //! forward to the system allocator: its exports *are* the process's
@@ -35,11 +34,12 @@
 //! * **Bootstrap allocations.** The dynamic loader and early libc can call
 //!   `malloc` before the real heap can exist, and glibc re-enters `malloc`
 //!   from inside our own machinery (growing the `pthread_atfork` handler
-//!   list, TSD bookkeeping). Those requests are served from [`arena`]: a
-//!   fixed 1 MB static bump region whose blocks carry a 16-byte size
-//!   header. Arena blocks are recognized by address range — `free` on them
-//!   is a no-op (the arena never recycles), `realloc` copies out of them
-//!   by their header size, `malloc_usable_size` answers from the header.
+//!   list, TSD bookkeeping). Those requests are served from a private
+//!   arena: a fixed 1 MB static bump region whose blocks carry a 16-byte
+//!   size header. Arena blocks are recognized by address range — `free` on
+//!   them is a no-op (the arena never recycles), `realloc` copies out of
+//!   them by their header size, `malloc_usable_size` answers from the
+//!   header.
 //!   Arena exhaustion fails *re-entrant* requests with null — bounded,
 //!   since only allocator-internal traffic lands there after startup.
 //! * **Re-entrancy.** Every allocation and free enters the heap through
@@ -61,7 +61,7 @@
 //!   block's length is unknowable, and the old block is left untouched.
 //! * **Fork inheritance.** A `.init_array` constructor registers
 //!   `pthread_atfork` handlers that wrap `fork(2)` in
-//!   [`DieHard::fork_prepare`]/[`fork_resume`](DieHard::fork_resume):
+//!   [`DieHard::fork_prepare`]/[`DieHard::fork_resume`]:
 //!   every allocator lock (TLS registry → twelve per-class maintenance
 //!   locks → large-object table) is acquired in fixed order across the
 //!   fork and released in both parent and child, so the child's single
@@ -88,22 +88,16 @@
 
 use core::ptr;
 use core::sync::atomic::{AtomicUsize, Ordering};
-use diehard_core::global::DieHard;
+use diehard_core::global::{c_strlen, c_strlen_bounded, DieHard};
 use diehard_core::safe_str;
 use libc::{c_char, c_int, c_void};
 use std::alloc::Layout;
 
-/// Elastic start fraction when `DIEHARD_GROW` is unset: classes begin at
-/// 1/16 of their configured maximum — small enough that an interposed
-/// `cat` does not fault in twelve full regions, large enough that typical
-/// programs never grow at all.
-const DEFAULT_GROW_LOG2: u32 = 4;
-
 /// C ABI alignment floor: `max_align_t` is 16 on x86_64 and aarch64.
 const MALLOC_ALIGN: usize = 16;
 
-/// The process heap. Environment-configured, elastic by default.
-static HEAP: DieHard = DieHard::elastic_from_env(DEFAULT_GROW_LOG2);
+/// The process heap: environment-configured, hence elastic.
+static HEAP: DieHard = DieHard::new();
 
 /// Frees dropped because they arrived re-entrantly for non-arena pointers
 /// (see the audit above). Diagnostic, read by tests.
@@ -406,38 +400,9 @@ pub extern "C" fn malloc_usable_size(ptr: *mut c_void) -> usize {
 
 // ---- §4.4 bounded string copies ------------------------------------------
 
-/// Length of the NUL-terminated string at `p`.
-///
-/// # Safety
-///
-/// `p` must point to a NUL-terminated string.
-unsafe fn c_strlen(p: *const u8) -> usize {
-    let mut n = 0;
-    // SAFETY: the caller guarantees a terminator exists.
-    while unsafe { *p.add(n) } != 0 {
-        n += 1;
-    }
-    n
-}
-
-/// Length of the string at `p`, scanning at most `max` bytes.
-///
-/// # Safety
-///
-/// `p` must be valid for reads up to `max` bytes or its NUL terminator.
-unsafe fn c_strlen_bounded(p: *const u8, max: usize) -> usize {
-    let mut n = 0;
-    // SAFETY: the caller guarantees validity to `max` or the terminator.
-    while n < max && unsafe { *p.add(n) } != 0 {
-        n += 1;
-    }
-    n
-}
-
-/// DieHard's `strcpy` (§4.4): when `dest` is a DieHard heap pointer the
-/// copy is clamped to the object's true remaining capacity (and always
-/// NUL-terminated within it); otherwise exact C `strcpy` semantics apply.
-/// Returns `dest`, like C.
+/// DieHard's `strcpy` (§4.4, [`DieHard::strcpy`]): clamped to the true
+/// remaining space of a DieHard destination object, exact C semantics
+/// elsewhere. Returns `dest`, like C.
 ///
 /// # Safety
 ///
@@ -445,35 +410,14 @@ unsafe fn c_strlen_bounded(p: *const u8, max: usize) -> usize {
 /// have room for the full string, exactly as C requires.
 #[no_mangle]
 pub unsafe extern "C" fn strcpy(dest: *mut c_char, src: *const c_char) -> *mut c_char {
-    let d = dest.cast::<u8>();
-    let s = src.cast::<u8>();
-    // SAFETY: src is NUL-terminated per contract.
-    let len = unsafe { c_strlen(s) };
-    // SAFETY: the source slice covers exactly the scanned bytes.
-    let src_slice = unsafe { core::slice::from_raw_parts(s, len) };
-    match HEAP.remaining_space(d) {
-        Some(space) => {
-            // SAFETY: the DieHard object has `space` writable bytes at d.
-            let dest_slice = unsafe { core::slice::from_raw_parts_mut(d, space) };
-            safe_str::bounded_strcpy(dest_slice, space, src_slice);
-        }
-        None => {
-            // SAFETY: C contract — dest holds len + 1 bytes.
-            unsafe {
-                ptr::copy_nonoverlapping(s, d, len);
-                *d.add(len) = 0;
-            }
-        }
-    }
+    // SAFETY: forwarded caller contract.
+    unsafe { HEAP.strcpy(dest.cast(), src.cast()) };
     dest
 }
 
-/// DieHard's `strncpy` (§4.4): the caller's `n` is additionally clamped
-/// by the destination object's true capacity, and (the paper's deliberate
-/// deviation) the result is always NUL-terminated *within the object*;
-/// zero-padding stops at the object bound too. Non-heap destinations get
-/// exact C semantics — copy `min(strlen, n)`, pad with zeros to `n`, no
-/// terminator beyond that. Returns `dest`.
+/// DieHard's `strncpy` (§4.4, [`DieHard::strncpy`]): `n` is clamped by the
+/// destination object's true capacity and the result NUL-terminated within
+/// it; non-heap destinations get exact C semantics. Returns `dest`.
 ///
 /// # Safety
 ///
@@ -481,35 +425,8 @@ pub unsafe extern "C" fn strcpy(dest: *mut c_char, src: *const c_char) -> *mut c
 /// destinations `dest` must hold `n` bytes, exactly as C requires.
 #[no_mangle]
 pub unsafe extern "C" fn strncpy(dest: *mut c_char, src: *const c_char, n: usize) -> *mut c_char {
-    let d = dest.cast::<u8>();
-    let s = src.cast::<u8>();
-    // SAFETY: src is readable to n or NUL per contract.
-    let len = unsafe { c_strlen_bounded(s, n) };
-    // SAFETY: the source slice covers exactly the scanned bytes.
-    let src_slice = unsafe { core::slice::from_raw_parts(s, len) };
-    match HEAP.remaining_space(d) {
-        Some(space) => {
-            // SAFETY: the DieHard object has `space` writable bytes at d.
-            let dest_slice = unsafe { core::slice::from_raw_parts_mut(d, space) };
-            let out = safe_str::bounded_strncpy(dest_slice, space, src_slice, n);
-            // C zero-pads through byte n - 1; clamp that to the object.
-            // (Byte `out.copied` already holds the bounded terminator.)
-            let pad_end = n.min(space);
-            let mut i = out.copied;
-            while i < pad_end {
-                // SAFETY: i < space, inside the object.
-                unsafe { *d.add(i) = 0 };
-                i += 1;
-            }
-        }
-        None => {
-            // SAFETY: C contract — dest holds n bytes.
-            unsafe {
-                ptr::copy_nonoverlapping(s, d, len);
-                ptr::write_bytes(d.add(len), 0, n - len);
-            }
-        }
-    }
+    // SAFETY: forwarded caller contract.
+    unsafe { HEAP.strncpy(dest.cast(), src.cast(), n) };
     dest
 }
 

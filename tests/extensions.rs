@@ -15,7 +15,7 @@ fn adaptive_heap_serves_real_workloads_with_smaller_footprint() {
     // against the initial 1/64 slot allotment.
     let config = HeapConfig::default().with_region_bytes(64 * 1024);
     let fixed_span = config.heap_span();
-    let mut heap = HeapCore::new_elastic(config, 5, DEFAULT_INITIAL_FRACTION_LOG2).unwrap();
+    let mut heap = HeapCore::new(config.with_grow(DEFAULT_INITIAL_FRACTION_LOG2), 5).unwrap();
     let prog = profile_by_name("p2c").unwrap().generate(0.2, 3);
     let mut live: std::collections::HashMap<u32, usize> = Default::default();
     for op in &prog.ops {
@@ -191,7 +191,7 @@ mod magazine_ab {
     //! indistinguishable placement (the §4.2 uniform-randomness guarantee
     //! the magazine must preserve).
 
-    use diehard::core::magazine::{MagazineCache, MagazineHeap};
+    use diehard::core::magazine::MagazineCache;
     use diehard::core::sharded::ShardedHeap;
     use diehard::prelude::*;
 
@@ -216,7 +216,7 @@ mod magazine_ab {
         }
     }
 
-    impl Driver for (&MagazineHeap, MagazineCache<'_>) {
+    impl Driver for (&ShardedHeap, MagazineCache<'_>) {
         fn alloc64(&mut self) -> Option<Slot> {
             self.1.alloc(64)
         }
@@ -289,7 +289,7 @@ mod magazine_ab {
                 sharded_hist[idx * BUCKETS / capacity] += 1;
             }
 
-            let magazine = MagazineHeap::new(config.clone(), seed).unwrap();
+            let magazine = ShardedHeap::new(config.clone(), seed).unwrap();
             let mut driver = (&magazine, magazine.thread_cache());
             for idx in churn(seed, &mut driver, OPS, WINDOW) {
                 magazine_hist[idx * BUCKETS / capacity] += 1;
@@ -336,7 +336,7 @@ mod magazine_ab {
                 .with_partition(class, |p| p.mean_live_gap())
                 .expect("window keeps ≥ 2 live objects");
 
-            let magazine = MagazineHeap::new(HeapConfig::default(), seed).unwrap();
+            let magazine = ShardedHeap::new(HeapConfig::default(), seed).unwrap();
             let mut driver = (&magazine, magazine.thread_cache());
             churn(seed, &mut driver, 300, 16);
             drop(driver);
